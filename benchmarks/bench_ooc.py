@@ -9,9 +9,9 @@ Laplacian into a shard store once, then measures:
 
 * ``spmv`` — one out-of-core apply per budget regime (``unbounded``
   caches every shard after the first pass; ``half`` holds roughly half
-  the payload so the LRU churns; ``tight`` fits little more than the
-  largest shard, the worst case: every apply re-reads nearly
-  everything);
+  the payload, so each apply reloads the shards evicted behind the
+  sweep; ``tight`` fits little more than the largest shard, the worst
+  case: every apply re-reads nearly everything);
 * ``cg`` — a fixed-iteration checkpointed CG solve with durable
   snapshots every 5 iterations vs the same solve with no store, so the
   fsync-per-checkpoint tax is a first-class measured quantity.
@@ -161,6 +161,15 @@ def render(rows) -> str:
             f"{r['peak_resident_bytes']:>10} "
             f"{r['p50_ms']:>9.3f} {r['p95_ms']:>9.3f}"
         )
+    p50 = {(r["section"], r["variant"]): r["p50_ms"] for r in rows}
+    ckpt = f"ckpt-every-{CHECKPOINT_EVERY}"
+    budgeted = p50["spmv", "half"] / p50["spmv", "unbounded"]
+    tax = p50["cg", ckpt] / p50["cg", "no-checkpoint"]
+    lines += [
+        "",
+        f"half-budget / unbounded SpMV p50: {budgeted:.2f}x (gate <= 5x)",
+        f"checkpoint tax ({ckpt} / no-checkpoint CG p50): {tax:.2f}x",
+    ]
     return "\n".join(lines)
 
 

@@ -155,13 +155,19 @@ class ExecutionPlan:
         is window-restricted to the kernel's effective row range.
         """
         multi = x.ndim == 2
+        # Row-uniform units are summed along a contiguous axis, one
+        # right-hand side at a time, so column j of the multi-RHS
+        # result is bit-identical to the vector product with x[:, j]
+        # (a strided-axis sum would run in a different order).
+        xt = np.ascontiguousarray(x.T) if multi else None
         for i, k in enumerate(self.kernels):
             sc = self._scatter_for(i)
             if multi:
-                products = k.values[..., None] * x[k.cols2d]
                 if k.row_uniform:
-                    sc.add(y, products.sum(axis=1))
+                    products = k.values * xt.take(k.cols2d, axis=1)
+                    sc.add(y, products.sum(axis=2).T)
                 else:
+                    products = k.values[..., None] * x[k.cols2d]
                     sc.add(y, products.reshape(-1, x.shape[1]))
             else:
                 products = k.values * x[k.cols2d]

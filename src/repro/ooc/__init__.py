@@ -9,8 +9,8 @@ recurrences — run against a matrix that never fits in memory:
   manifest, and the fault-contained :class:`ShardStore` read path
   (bounded retry → re-ingest → typed :class:`ShardIOError`);
 * :mod:`repro.ooc.operator` — :class:`ShardedOperator`, shard-at-a-
-  time symmetric SpMV/SpMM under an explicit memory budget with a
-  pinned-LRU of resident shards;
+  time symmetric SpMV/SpMM under an explicit memory budget, evicting
+  the resident shard just behind the ascending sweep;
 * :mod:`repro.ooc.checkpoint` — :class:`CheckpointStore`, atomic
   multi-generation solver state with CRC-verified recovery;
 * :mod:`repro.ooc.cg` — :func:`checkpointed_cg`, the crash-safe

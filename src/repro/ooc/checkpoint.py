@@ -53,7 +53,10 @@ _CRC = struct.Struct("<I")
 _NAME = re.compile(r"^ckpt_(\d{8})\.bin$")
 
 
-def _pack_state(state: dict) -> bytes:
+def _pack_state(state: dict) -> list:
+    """The record's bytes as buffers to write in order: header, the
+    arrays' own memory (no copy), then the CRC32C trailer, computed
+    streaming over the parts before it."""
     scalars = {}
     arrays: list[tuple[str, np.ndarray]] = []
     for name, value in state.items():
@@ -70,10 +73,13 @@ def _pack_state(state: dict) -> bytes:
         ],
     }
     hb = json.dumps(header, sort_keys=True).encode()
-    body = b"".join(
-        [MAGIC, _LEN.pack(len(hb)), hb] + [a.tobytes() for _, a in arrays]
-    )
-    return body + _CRC.pack(crc32c(body))
+    parts = [MAGIC + _LEN.pack(len(hb)) + hb]
+    parts += [memoryview(a).cast("B") for _, a in arrays]
+    crc = 0
+    for part in parts:
+        crc = crc32c(part, crc)
+    parts.append(_CRC.pack(crc))
+    return parts
 
 
 def _unpack_state(payload: bytes, what: str) -> dict:
@@ -166,23 +172,23 @@ class CheckpointStore:
             raise ValueError(f"generation must be >= 0, got {generation}")
         tracer = _active_tracer()
         with tracer.span("ooc.checkpoint_save", generation=generation):
-            payload = _pack_state(state)
+            with tracer.span("ooc.checkpoint_pack"):
+                parts = _pack_state(state)
             fault = (
                 self.chaos.io_fault_for(generation, 0)
                 if self.chaos is not None
                 else "none"
             )
             if fault == "torn_write":
-                payload = payload[: max(1, len(payload) // 2)]
-            elif fault == "checksum_flip" and payload:
-                mid = len(payload) // 2
-                payload = (
-                    payload[:mid]
-                    + bytes([payload[mid] ^ 0x40])
-                    + payload[mid + 1:]
-                )
+                payload = b"".join(parts)
+                parts = [payload[: max(1, len(payload) // 2)]]
+            elif fault == "checksum_flip":
+                payload = bytearray(b"".join(parts))
+                payload[len(payload) // 2] ^= 0x40
+                parts = [payload]
             path = self._path(generation)
-            _atomic_write(path, payload)
+            with tracer.span("ooc.checkpoint_write"):
+                _atomic_write(path, *parts)
             for old in self.generations()[: -self.keep]:
                 try:
                     self._path(old).unlink()
@@ -191,7 +197,7 @@ class CheckpointStore:
             if tracer.enabled:
                 tracer.count("ooc.checkpoints_written")
                 tracer.metrics.counter("ooc.checkpoint_bytes").inc(
-                    len(payload)
+                    sum(len(part) for part in parts)
                 )
         return path
 

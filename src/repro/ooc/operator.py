@@ -2,18 +2,23 @@
 
 A :class:`ShardedOperator` applies a matrix that never fits in memory
 by streaming its row-range shards (:mod:`repro.ooc.shards`) through a
-small pinned-LRU of resident shards. Each resident shard is wrapped in
-a global-shape :class:`~repro.formats.sss.SSSMatrix` — the diagonal
-and row-pointer arrays are full length with only the shard's row range
-populated (an O(N) per-shard index overhead, documented and excluded
-from the *payload* budget, which counts the bytes the manifest records
-per shard file) — and driven by the existing
+small cache of resident shards. Each resident shard is wrapped in an
+:class:`~repro.formats.sss.SSSMatrix` over its own column window
+``[c0, row_end)`` — ``c0`` is the smallest column the shard touches —
+and driven by the existing
 :class:`~repro.parallel.spmv.ParallelSymmetricSpMV`: same partition
 kernels, same local-vector reductions, same
 :class:`~repro.parallel.executor.Executor` backends as the in-core
 path. Off-shard transposed contributions (columns left of the shard's
 row range) land in the reduction's local vectors exactly as they do
-for an in-core thread partition.
+for an in-core thread partition; every per-shard array is O(window),
+not O(N).
+
+Eviction follows the sweep: every apply visits shards in ascending
+order, so the resident shard whose next use is furthest away is the
+one just behind the sweep. Dropping it is Belady-optimal for this
+fixed cyclic access pattern (LRU under a half budget misses on every
+access).
 
 Determinism: ``y`` accumulates shard results in fixed ascending shard
 order, and each per-shard driver is built with a fixed partition
@@ -31,7 +36,6 @@ payload residency the smoke test asserts against the budget.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -71,12 +75,18 @@ def parse_memory_budget(text: Union[str, int, None]) -> Optional[int]:
 
 
 class _Resident:
-    """One cached shard: its driver and its budget-accounted bytes."""
+    """One cached shard: its driver over the column window
+    ``[start, end)`` and its budget-accounted bytes."""
 
-    __slots__ = ("driver", "n_bytes")
+    __slots__ = ("driver", "start", "end", "n_bytes")
 
-    def __init__(self, driver: ParallelSymmetricSpMV, n_bytes: int):
+    def __init__(
+        self, driver: ParallelSymmetricSpMV, start: int, end: int,
+        n_bytes: int,
+    ):
         self.driver = driver
+        self.start = start
+        self.end = end
         self.n_bytes = n_bytes
 
 
@@ -133,7 +143,7 @@ class ShardedOperator:
                 f"largest shard ({largest} B); re-ingest with smaller "
                 f"shards or raise the budget"
             )
-        self._resident: "OrderedDict[int, _Resident]" = OrderedDict()
+        self._resident: dict[int, _Resident] = {}
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
 
@@ -146,65 +156,59 @@ class ShardedOperator:
     def n_rows(self) -> int:
         return self.store.n_rows
 
-    def _build_driver(self, data: ShardData) -> ParallelSymmetricSpMV:
-        """Wrap one shard in a global-shape SSS matrix + parallel
-        driver. Rows outside the shard's range carry no entries; the
-        partitions cover [0, N) with the shard's rows split
-        nnz-balanced across ``n_threads`` and (possibly empty) edge
-        partitions for the rest."""
-        n = self.store.n_rows
+    def _build_resident(self, data: ShardData) -> _Resident:
+        """Wrap one shard in an SSS matrix over its column window
+        ``[c0, row_end)``. The partitions cover the window: a leading
+        partition ``[c0, row_start)`` without entries (when the shard
+        reaches left of its rows), then the shard's rows split
+        nnz-balanced across ``n_threads``."""
         s, e = data.row_start, data.row_end
-        dvalues = np.zeros(n, dtype=np.float64)
-        dvalues[s:e] = data.dvalues
-        rowptr = np.zeros(n + 1, dtype=np.int64)
-        rowptr[s: e + 1] = data.rowptr
-        rowptr[e + 1:] = data.rowptr[-1]
+        c0 = min(s, int(data.colind.min())) if data.colind.size else s
+        w, lead = e - c0, s - c0
+        dvalues = np.zeros(w, dtype=np.float64)
+        dvalues[lead:] = data.dvalues
+        rowptr = np.zeros(w + 1, dtype=np.int64)
+        rowptr[lead:] = data.rowptr
         matrix = SSSMatrix(
-            (n, n), dvalues, rowptr, data.colind, data.values
+            (w, w), dvalues, rowptr, data.colind - c0, data.values
         )
         weights = np.diff(data.rowptr) + 1
         cuts = partition_nnz_balanced(weights, self.n_threads)
-        partitions: list[tuple[int, int]] = []
-        if s > 0:
-            partitions.append((0, s))
-        partitions.extend((s + ls, s + le) for ls, le in cuts)
-        if e < n:
-            partitions.append((e, n))
-        return ParallelSymmetricSpMV(
+        partitions = [(0, lead)] if lead else []
+        partitions.extend((lead + ls, lead + le) for ls, le in cuts)
+        driver = ParallelSymmetricSpMV(
             matrix, partitions, self.reduction, executor=self.executor
         )
+        return _Resident(driver, c0, e, data.n_bytes)
 
-    def _evict_until(self, incoming: int, pinned: Optional[int]) -> None:
+    def _evict_until(self, incoming: int, index: int) -> None:
+        """Make room for shard ``index``: drop the resident shards
+        whose next use in the ascending sweep is furthest away — the
+        ones just behind the sweep — until ``incoming`` bytes fit."""
         if self.memory_budget is None:
             return
         tracer = _active_tracer()
+        n = self.store.n_shards
         while (
             self.resident_bytes + incoming > self.memory_budget
             and self._resident
         ):
-            # LRU order; never evict the pinned (in-use) shard.
-            victim = next(
-                (i for i in self._resident if i != pinned), None
-            )
-            if victim is None:
-                break
+            victim = max(self._resident, key=lambda j: (j - index) % n)
             entry = self._resident.pop(victim)
             self.resident_bytes -= entry.n_bytes
             if tracer.enabled:
                 tracer.count("ooc.shard_evictions")
 
-    def _driver(self, index: int) -> ParallelSymmetricSpMV:
+    def _shard(self, index: int) -> _Resident:
         tracer = _active_tracer()
         entry = self._resident.get(index)
         if entry is not None:
-            self._resident.move_to_end(index)
             if tracer.enabled:
                 tracer.count("ooc.shard_hits")
-            return entry.driver
+            return entry
         info = self.store.shards[index]
-        self._evict_until(info.n_bytes, pinned=None)
-        data = self.store.load(index)
-        entry = _Resident(self._build_driver(data), data.n_bytes)
+        self._evict_until(info.n_bytes, index)
+        entry = self._build_resident(self.store.load(index))
         self._resident[index] = entry
         self.resident_bytes += entry.n_bytes
         self.peak_resident_bytes = max(
@@ -218,7 +222,7 @@ class ShardedOperator:
             tracer.metrics.gauge("ooc.resident_bytes_peak").set(
                 self.peak_resident_bytes
             )
-        return entry.driver
+        return entry
 
     # -- application ----------------------------------------------------
     def __call__(
@@ -246,10 +250,11 @@ class ShardedOperator:
         total[...] = 0.0
         with tracer.span("ooc.apply", shards=self.store.n_shards):
             for index in range(self.store.n_shards):
-                driver = self._driver(index)
+                entry = self._shard(index)
+                window = slice(entry.start, entry.end)
                 # Fixed ascending accumulation order: bit-identical
                 # across cache states and repeat applies.
-                total += driver(x)
+                total[window] += entry.driver(x[window])
         if tracer.enabled:
             tracer.count("ooc.applies")
         return total

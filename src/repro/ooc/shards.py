@@ -114,12 +114,14 @@ class ShardData:
     n_bytes: int
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    """Write-temp + fsync + rename: a reader never observes a partial
-    file under ``path`` — it sees the old bytes or the new bytes."""
+def _atomic_write(path: Path, *parts) -> None:
+    """Write-temp + fsync + rename of the concatenated buffers
+    ``parts``: a reader never observes a partial file under ``path`` —
+    it sees the old bytes or the new bytes."""
     tmp = path.parent / (path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        for part in parts:
+            fh.write(part)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

@@ -261,3 +261,24 @@ def test_symmetric_backend_spmm_bit_identical(fmt, method, backend):
     assert np.array_equal(got, serial)
     if backend == "processes":
         assert not live_segments()
+
+
+def test_csx_sym_spmm_columns_bit_identical_to_spmv():
+    """Column j of a multi-RHS apply equals the SpM×V of ``X[:, j]``
+    bit for bit, also for row-uniform CSX units of >= 8 elements, whose
+    sums numpy runs pairwise (the order a strided-axis sum would not
+    reproduce)."""
+    from repro.analysis.configs import build_format as build_configured
+    from repro.matrices.suite import get_entry
+
+    coo = get_entry("bmw7st_1").build(0.02)
+    matrix, parts = build_configured(coo, "csx-sym", 2)
+    assert any(
+        k.row_uniform and k.length >= 8
+        for p in matrix.partitions for k in p.plan.kernels
+    )
+    driver = ParallelSymmetricSpMV(matrix, parts, "indexed")
+    X = np.random.default_rng(0).standard_normal((coo.n_rows, 8))
+    Y = driver(X)
+    for j in range(X.shape[1]):
+        assert np.array_equal(Y[:, j], driver(np.ascontiguousarray(X[:, j])))

@@ -26,6 +26,8 @@ from repro.cli import main
 from repro.formats import COOMatrix, SSSMatrix
 from repro.matrices.mmio import iter_coordinates, read_matrix_market
 from repro.obs.tracer import Tracer, tracing
+from repro.matrices.generators import grid_laplacian_2d
+from repro.matrices.mmio import write_matrix_market
 from repro.ooc import (
     CheckpointStore,
     ManifestError,
@@ -38,6 +40,7 @@ from repro.ooc import (
     ingest_matrix_market,
     parse_memory_budget,
 )
+from repro.ooc import checksum
 from repro.ooc.checkpoint import CheckpointStore as _CheckpointStore
 from repro.ooc.errors import ShardChecksumError
 from repro.parallel import (
@@ -105,6 +108,48 @@ class TestCRC32C:
         whole = crc32c(data)
         for split in (0, 1, 8, 100, len(data)):
             assert crc32c(data[split:], crc32c(data[:split])) == whole
+
+    @staticmethod
+    def _walk(data: bytes, lengths, crc: int = 0) -> dict:
+        """Bit-at-a-time CRC32C of ``data[:n]`` for every ``n`` in
+        ``lengths``, continuing from ``crc``; one pass over the data."""
+        out = {}
+        reg = crc ^ 0xFFFFFFFF
+        pos = 0
+        for n in sorted(lengths):
+            for byte in data[pos:n]:
+                reg ^= byte
+                for _ in range(8):
+                    reg = (reg >> 1) ^ (0x82F63B78 if reg & 1 else 0)
+            pos = n
+            out[n] = reg ^ 0xFFFFFFFF
+        return out
+
+    def test_matches_bitwise_reference(self):
+        lane, block = checksum._LANE, checksum._BLOCK
+        rng = np.random.default_rng(13)
+        data = rng.integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+        near = set(range(3 * lane + 1))
+        for edge in (block, 2 * block):
+            near.update(range(edge - lane - 1, edge + lane + 2))
+        sizes = set(int(n) for n in rng.integers(0, 1 << 20, 4))
+        sizes.add(1 << 20)
+        for n, want in self._walk(data, near | sizes).items():
+            assert crc32c(data[:n]) == want, n
+        start = 0x1234ABCD
+        for n, want in self._walk(data, near, start).items():
+            assert crc32c(data[:n], start) == want, n
+
+    def test_buffer_types_agree(self):
+        rng = np.random.default_rng(14)
+        values = rng.standard_normal(3 * checksum._LANE + 7)
+        raw = values.tobytes()
+        want = crc32c(raw)
+        for buf in (bytearray(raw), memoryview(raw), values,
+                    memoryview(values), np.frombuffer(raw, np.uint8),
+                    values.reshape(-1, 1)):
+            assert crc32c(buf) == want
+            assert crc32c(buf, 7) == crc32c(raw, 7)
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +385,46 @@ class TestShardedOperator:
             ex.close()
         assert np.array_equal(serial, threaded)
 
+    @pytest.fixture()
+    def grid_store(self, tmp_path):
+        mtx = tmp_path / "grid.mtx"
+        write_matrix_market(mtx, grid_laplacian_2d(24, 24), symmetric=True)
+        return ingest_matrix_market(mtx, tmp_path / "grid", n_shards=8)
+
+    def test_eviction_follows_sweep(self, grid_store):
+        total = grid_store.total_payload_bytes()
+        largest = max(i.n_bytes for i in grid_store.shards)
+        x = np.random.default_rng(3).standard_normal(grid_store.n_cols)
+        want = ShardedOperator(grid_store, n_threads=2)(x)
+        op = ShardedOperator(
+            grid_store, memory_budget=max(largest, total // 2), n_threads=2
+        )
+        op(x)  # fills the cache
+        tracer = Tracer()
+        with tracing(tracer):
+            for _ in range(10):
+                assert np.array_equal(op(x), want)
+        # LRU misses on every access of a cyclic sweep (8 per apply).
+        assert tracer.counters()["ooc.shards_loaded"] / 10 <= 5.5
+        assert op.peak_resident_bytes <= op.memory_budget
+
+    def test_resident_drivers_hold_window_arrays(self, grid_store):
+        op = ShardedOperator(grid_store, n_threads=2)
+        n = grid_store.n_rows
+        op(np.ones(n))
+        op(np.ones((n, 2)))
+        for entry in op._resident.values():
+            assert entry.end - entry.start < n
+            driver = entry.driver
+            arrays = []
+            for obj in (driver, driver.matrix, driver.reduction):
+                for value in vars(obj).values():
+                    items = value if isinstance(value, list) else [value]
+                    arrays += [a for a in items if isinstance(a, np.ndarray)]
+            assert arrays
+            for a in arrays:
+                assert n not in a.shape and n + 1 not in a.shape
+
     def test_parse_memory_budget(self):
         assert parse_memory_budget("64K") == 64 * 1024
         assert parse_memory_budget("8m") == 8 << 20
@@ -376,6 +461,20 @@ class TestCheckpointStore:
                 assert got[key] == value
         # Loaded arrays must be writable (solvers mutate them).
         got["x"][0] = 42.0
+
+    def test_save_spans_and_record_layout(self, tmp_path):
+        state = self._state(3)
+        tracer = Tracer()
+        with tracing(tracer):
+            path = CheckpointStore(tmp_path).save(3, state)
+        depth = {ev.name: ev.depth for _, ev in tracer.events()}
+        for child in ("ooc.checkpoint_pack", "ooc.checkpoint_write"):
+            assert depth[child] == depth["ooc.checkpoint_save"] + 1
+        raw = path.read_bytes()
+        assert crc32c(raw[:-4]).to_bytes(4, "little") == raw[-4:]
+        for name in ("x", "r", "p"):
+            assert state[name].tobytes() in raw
+        assert tracer.metrics.counter_value("ooc.checkpoint_bytes") == len(raw)
 
     def test_prunes_to_keep(self, tmp_path):
         ck = CheckpointStore(tmp_path, keep=2)
