@@ -52,7 +52,6 @@ CONCURRENCY_SWEEP = (1, 4, 8, 16)
 SMOKE_SWEEP = (2, 8)
 REQUESTS_PER_CELL = 240
 SMOKE_REQUESTS = 64
-WINDOW_S = 0.002
 MAX_BATCH = 8
 GATE_CONCURRENCY = 8        # the claim is about concurrent clients
 GATE_SPEEDUP = 1.5          # coalescing-on vs off, throughput geomean
@@ -83,7 +82,6 @@ def run_cell(
     async def drive():
         server = SolverServer(
             registry,
-            window=WINDOW_S,
             max_batch=MAX_BATCH,
             max_pending=4 * concurrency + MAX_BATCH,
             coalesce=(mode == "coalesce"),
@@ -180,7 +178,7 @@ def evaluate_gate(rows, host_cores: int) -> dict:
 def render(rows, gate) -> str:
     lines = [
         "Serving throughput/latency — coalescing on vs off "
-        f"(window {WINDOW_S * 1e3:g} ms, max batch {MAX_BATCH})",
+        f"(max batch {MAX_BATCH})",
         "",
         f"{'kind':<6} {'mode':<10} {'conc':>5} {'req/s':>10} "
         f"{'p50 ms':>9} {'p95 ms':>9} {'p99 ms':>9} {'width':>6} "
@@ -251,7 +249,6 @@ def main(argv=None) -> int:
         "workers": args.workers,
         "concurrency": list(sweep),
         "requests_per_cell": n_requests,
-        "window_s": WINDOW_S,
         "max_batch": MAX_BATCH,
         "host_cores": host_cores,
     }

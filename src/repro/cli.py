@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total requests to issue (default 200)")
         p.add_argument("--concurrency", type=int, default=8,
                        help="closed-loop workers (default 8)")
-        p.add_argument("--window-ms", type=float, default=2.0,
-                       help="coalescing window (default 2 ms)")
         p.add_argument("--max-batch", type=int, default=8,
                        help="SpM×M width cap (default 8)")
         p.add_argument("--max-pending", type=int, default=64,
@@ -865,7 +863,6 @@ def _serve_setup(args):
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return None
     return registry, entry.key, {
-        "window": args.window_ms * 1e-3,
         "max_batch": args.max_batch,
         "max_pending": args.max_pending,
     }
@@ -919,8 +916,7 @@ def _cmd_serve(args) -> int:
     report, slo_reports, batches, fallbacks = asyncio.run(drive())
     registry.close()
     mode = "solo (coalescing off)" if args.no_coalesce else (
-        f"coalescing (window {args.window_ms:g} ms, "
-        f"max batch {args.max_batch})"
+        f"coalescing (max batch {args.max_batch})"
     )
     print(
         f"served {args.matrix} [{args.format}, {args.reduction}, "

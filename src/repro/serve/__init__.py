@@ -1,9 +1,9 @@
 """Async solver-serving front end with SpMM request coalescing.
 
 The paper's traffic argument, turned into a service: same-matrix
-single-RHS SpM×V requests (and compatible CG solves) arriving within a
-coalescing window are batched into one SpM×M / block-CG call up to
-``max_batch`` columns, streaming the matrix once for all of them —
+single-RHS SpM×V requests (and compatible CG solves) that queue up
+while the matrix is busy are batched into one SpM×M / block-CG call
+up to ``max_batch`` columns, streaming the matrix once for all of them —
 responses stay bit-identical to what each request would have computed
 alone. See DESIGN.md §4j for the scheduler, the deadline/backpressure
 semantics and the chaos-containment story.

@@ -59,9 +59,9 @@ class DeadlineExceededError(ServeError):
     """The per-request deadline expired.
 
     ``stage`` records where: ``"queued"`` means the request never
-    reached the kernel (it expired in the coalescing window or behind
-    a busy operator); ``"computing"`` means the solve started but was
-    cut short by the deadline hook and the partial result was
+    reached the kernel (it expired waiting behind its bucket's running
+    batch or a busy operator); ``"computing"`` means the solve started
+    but was cut short by the deadline hook and the partial result was
     discarded.
     """
 

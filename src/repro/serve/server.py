@@ -4,9 +4,9 @@ The front end the paper's batching argument implies but never builds:
 if ``k`` independent clients ask for ``A @ x_j`` against the *same*
 matrix at the same time, streaming the matrix once for all of them
 (one SpM×M) costs nearly the same memory traffic as serving one — so
-the server holds same-matrix single-RHS requests for a short
-coalescing window and batches them into one SpM×M (CG solves into one
-block-CG) up to ``max_batch`` columns wide.
+the server batches the same-matrix single-RHS requests that queue up
+while the matrix is busy into one SpM×M (CG solves into one block-CG)
+up to ``max_batch`` columns wide.
 
 Correctness contract — the whole point of the design:
 
@@ -26,15 +26,24 @@ Correctness contract — the whole point of the design:
   per-request serial computation, which involves no executor and thus
   no injected faults.
 
-Scheduling: requests bucket per ``(matrix key, kind, solver params)``.
-The first request of a bucket arms a ``window``-seconds flush timer;
-the ``max_batch``-th flushes immediately. Flushing moves the bucket
-into an asyncio task that computes on a worker thread
-(``run_in_executor``) so the event loop keeps admitting requests while
-kernels run. A per-``(key, k)`` asyncio lock serializes solves that
-share a bound operator's workspaces — and is released *before* any
-serial fallback, so a failing batch can never deadlock against its
-own retries.
+Scheduling — batch while busy: requests bucket per ``(matrix key,
+kind, solver params)``. A request into a bucket with no batch in
+flight flushes on the next event-loop tick, so a lone client never
+waits for company, while submissions from the same tick
+(``asyncio.gather``) still share one batch. Requests arriving while
+the bucket's batch runs wait for it; when it finishes (serial
+fallback included) they flush together, scheduled after the demux so
+that the clients it just answered resubmit into that same flush and
+steady closed-loop traffic keeps full-width batches. The
+``max_batch``-th waiting request flushes at once. A bucket is dropped
+as soon as it is idle and empty, so the bucket map stays bounded by
+the work in flight whatever ``(tol, max_iter)`` pairs clients send.
+Flushing moves the requests into an asyncio task that computes on a
+worker thread (``run_in_executor``) so the event loop keeps admitting
+requests while kernels run. A per-``(key, k)`` asyncio lock
+serializes solves that share a bound operator's workspaces — and is
+released *before* any serial fallback, so a failing batch can never
+deadlock against its own retries.
 """
 
 from __future__ import annotations
@@ -122,10 +131,12 @@ class _Request:
 
 @dataclass
 class _Bucket:
-    """Requests waiting to be flushed as one batch."""
+    """Requests waiting to be flushed as one batch, and the bucket's
+    batches in flight."""
 
     requests: list = field(default_factory=list)
-    timer: Optional[asyncio.TimerHandle] = None
+    running: int = 0
+    flush: Optional[asyncio.Handle] = None  # flush due on the next tick
 
 
 class SolverServer:
@@ -135,11 +146,6 @@ class SolverServer:
     Parameters
     ----------
     registry : operators to serve, keyed by matrix fingerprint.
-    window : float
-        Coalescing window in seconds. Requests for the same
-        ``(matrix, kind, params)`` arriving within one window batch
-        together. ``0`` still coalesces submissions from the same
-        event-loop tick (``asyncio.gather``).
     max_batch : int
         Batch-width cap (the paper's SpM×M sweet spot is ~8 columns:
         wider blocks stop amortizing matrix traffic and start thrashing
@@ -157,7 +163,6 @@ class SolverServer:
         self,
         registry: OperatorRegistry,
         *,
-        window: float = 0.002,
         max_batch: int = 8,
         max_pending: int = 64,
         coalesce: bool = True,
@@ -169,7 +174,6 @@ class SolverServer:
                 f"max_pending must be >= 1, got {max_pending}"
             )
         self.registry = registry
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
         self.coalesce = bool(coalesce)
@@ -244,8 +248,8 @@ class SolverServer:
             return
         self._closed = True
         for bucket in self._buckets.values():
-            if bucket.timer is not None:
-                bucket.timer.cancel()
+            if bucket.flush is not None:
+                bucket.flush.cancel()
             for req in bucket.requests:
                 self._finish_error(req, ServerClosedError(
                     "server closed while the request was queued"
@@ -304,26 +308,47 @@ class SolverServer:
         bucket.requests.append(req)
         if len(bucket.requests) >= self.max_batch:
             self._flush(bkey)
-        elif bucket.timer is None:
-            bucket.timer = asyncio.get_running_loop().call_later(
-                self.window, self._flush, bkey
+        elif not bucket.running:
+            self._flush_soon(bkey, bucket)
+
+    def _flush_soon(self, bkey, bucket) -> None:
+        if bucket.flush is None:
+            bucket.flush = asyncio.get_running_loop().call_soon(
+                self._flush, bkey
             )
 
     def _flush(self, bkey) -> None:
-        bucket = self._buckets.pop(bkey, None)
-        if bucket is None or not bucket.requests:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
+        bucket = self._buckets[bkey]
+        if bucket.flush is not None:
+            bucket.flush.cancel()
+            bucket.flush = None
+        requests, bucket.requests = bucket.requests, []
+        bucket.running += 1
         entry = self.registry.get(bkey[0])
-        self._spawn_batch(entry, bkey[1], bkey[2], bucket.requests)
+        self._spawn_batch(entry, bkey[1], bkey[2], requests, bkey)
 
-    def _spawn_batch(self, entry, kind, params, requests) -> None:
+    def _batch_done(self, bkey) -> None:
+        """A bucket's batch has answered. Its done-callback runs after
+        the demux has woken the answered clients, so they have
+        resubmitted by now and join whatever waited in one flush."""
+        bucket = self._buckets.get(bkey)
+        if bucket is None:  # closed meanwhile
+            return
+        bucket.running -= 1
+        if bucket.requests:
+            self._flush_soon(bkey, bucket)
+        elif not bucket.running:
+            del self._buckets[bkey]
+
+    def _spawn_batch(self, entry, kind, params, requests,
+                     bkey=None) -> None:
         task = asyncio.get_running_loop().create_task(
             self._run_batch(entry, kind, params, requests)
         )
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        if bkey is not None:
+            task.add_done_callback(lambda _: self._batch_done(bkey))
 
     # ------------------------------------------------------------------
     # Batch execution

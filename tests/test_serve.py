@@ -3,7 +3,7 @@ deadlines, chaos containment and the SLO/loadgen surfaces.
 
 The load-bearing property is **bit-identity**: a request served
 through the coalescing scheduler — batched into an SpM×M or a block-CG
-with whatever strangers happened to arrive in the same window — must
+with whatever strangers queued up while the matrix was busy — must
 return exactly the bytes it would have computed alone on the serial
 reference driver. Everything else (backpressure, deadlines, typed
 failures, chaos fallback) is about *terminating* correctly: an
@@ -13,6 +13,7 @@ admitted request never hangs and never returns silently wrong data.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +89,42 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+#: Upper bound on any wait in the held-batch tests: a scheduler that
+#: never flushes fails them instead of hanging the suite.
+WAIT_S = 30.0
+
+
+class _HeldBatches:
+    """Stubs ``server._compute`` so every batch blocks on its worker
+    thread until :meth:`release` (or the ``with`` block exits): lets a
+    test queue requests behind a batch held in flight, with no timing
+    assumptions."""
+
+    def __init__(self, server):
+        self._compute = server._compute
+        self._entered = threading.Semaphore(0)
+        self._gate = threading.Event()
+        server._compute = self._held
+
+    def _held(self, *args):
+        self._entered.release()
+        self._gate.wait(WAIT_S)
+        return self._compute(*args)
+
+    async def entered(self) -> None:
+        """Wait until one more batch is blocked on its worker thread."""
+        assert await asyncio.to_thread(self._entered.acquire, True, WAIT_S)
+
+    def release(self) -> None:
+        self._gate.set()
+
+    def __enter__(self) -> "_HeldBatches":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
 # ----------------------------------------------------------------------
 # Registry and fingerprinting
 # ----------------------------------------------------------------------
@@ -126,7 +163,7 @@ def test_coalesced_spmv_bit_identical(fmt, reduction, backend):
     refs = [serial_compute(entry, "spmv", (), x) for x in xs]
 
     async def drive():
-        async with SolverServer(registry, window=0.01) as server:
+        async with SolverServer(registry) as server:
             return await asyncio.gather(
                 *[server.spmv(entry.key, x) for x in xs]
             )
@@ -148,7 +185,7 @@ def test_coalesced_cg_bit_identical(backend):
     refs = [serial_compute(entry, "cg", params, b) for b in bs]
 
     async def drive():
-        async with SolverServer(registry, window=0.01) as server:
+        async with SolverServer(registry) as server:
             return await asyncio.gather(
                 *[server.cg(entry.key, b, tol=1e-9) for b in bs]
             )
@@ -169,9 +206,7 @@ def test_max_batch_caps_width_and_overflow_still_served():
     xs = [rhs_block(entry.n, None, seed=s) for s in range(11)]
 
     async def drive():
-        async with SolverServer(
-            registry, window=0.01, max_batch=4
-        ) as server:
+        async with SolverServer(registry, max_batch=4) as server:
             return await asyncio.gather(
                 *[server.spmv(entry.key, x) for x in xs]
             )
@@ -207,7 +242,7 @@ def test_incompatible_cg_params_do_not_coalesce():
     b = rhs_block(entry.n, None, seed=3)
 
     async def drive():
-        async with SolverServer(registry, window=0.01) as server:
+        async with SolverServer(registry) as server:
             return await asyncio.gather(
                 server.cg(entry.key, b, tol=1e-6),
                 server.cg(entry.key, b, tol=1e-10),
@@ -226,9 +261,7 @@ def test_queue_full_rejection_is_typed_and_immediate():
     registry, entry = _registry("sss", "indexed", "serial")
 
     async def drive():
-        server = SolverServer(
-            registry, window=1.0, max_pending=2
-        )
+        server = SolverServer(registry, max_pending=2)
         first = [
             asyncio.ensure_future(
                 server.spmv(entry.key, rhs_block(entry.n, None, seed=s))
@@ -257,12 +290,21 @@ def test_deadline_expires_while_queued():
     registry, entry = _registry("sss", "indexed", "serial")
 
     async def drive():
-        server = SolverServer(registry, window=0.25)
-        with pytest.raises(DeadlineExceededError) as exc:
-            await server.spmv(
+        server = SolverServer(registry)
+        with _HeldBatches(server) as held:
+            running = asyncio.ensure_future(server.spmv(
+                entry.key, rhs_block(entry.n, None, seed=1)
+            ))
+            await held.entered()
+            queued = asyncio.ensure_future(server.spmv(
                 entry.key, rhs_block(entry.n, None, seed=0),
                 deadline=0.005,
-            )
+            ))
+            await asyncio.sleep(0.01)  # past the queued deadline
+            held.release()
+            with pytest.raises(DeadlineExceededError) as exc:
+                await asyncio.wait_for(queued, WAIT_S)
+            await asyncio.wait_for(running, WAIT_S)
         assert exc.value.stage == "queued"
         assert server.metrics.counter_value(
             "serve.expired", stage="queued"
@@ -306,6 +348,122 @@ def test_wrong_shape_and_unknown_key_fail_fast():
 
 
 # ----------------------------------------------------------------------
+# Scheduler: batch while busy
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n_waiting", [3, 8])
+def test_waiters_behind_a_running_batch_flush_as_one_batch(n_waiting):
+    registry, entry = _registry("sss", "indexed", "serial")
+    xs = [rhs_block(entry.n, None, seed=s) for s in range(n_waiting + 1)]
+
+    async def drive():
+        async with SolverServer(registry, max_batch=8) as server:
+            with _HeldBatches(server) as held:
+                first = asyncio.ensure_future(server.spmv(entry.key, xs[0]))
+                await held.entered()
+                rest = [
+                    asyncio.ensure_future(server.spmv(entry.key, x))
+                    for x in xs[1:]
+                ]
+                await asyncio.sleep(0)  # admitted behind the busy bucket
+                held.release()
+                resps = await asyncio.wait_for(
+                    asyncio.gather(first, *rest), WAIT_S
+                )
+            batches = server.metrics.counter_value(
+                "serve.batches", kind="spmv"
+            )
+        return resps, batches
+
+    resps, batches = _run(drive())
+    assert batches == 2
+    assert [r.coalesced for r in resps] == [1] + [n_waiting] * n_waiting
+    for resp, x in zip(resps, xs):
+        assert np.array_equal(resp.y, serial_compute(
+            entry, "spmv", (), x))
+    registry.close()
+
+
+def test_waiters_overflowing_max_batch_split_at_max_batch():
+    registry, entry = _registry("sss", "indexed", "serial")
+    xs = [rhs_block(entry.n, None, seed=s) for s in range(11)]
+
+    async def drive():
+        async with SolverServer(registry, max_batch=4) as server:
+            with _HeldBatches(server) as held:
+                first = asyncio.ensure_future(server.spmv(entry.key, xs[0]))
+                await held.entered()
+                rest = [
+                    asyncio.ensure_future(server.spmv(entry.key, x))
+                    for x in xs[1:]
+                ]
+                await asyncio.sleep(0)
+                held.release()
+                return await asyncio.wait_for(
+                    asyncio.gather(first, *rest), WAIT_S
+                )
+
+    resps = _run(drive())
+    # Two full batches flush the moment they fill; the remainder waits
+    # for the running batch and follows as one batch of two.
+    assert [r.coalesced for r in resps] == [1] + [4] * 8 + [2] * 2
+    for resp, x in zip(resps, xs):
+        assert np.array_equal(resp.y, serial_compute(
+            entry, "spmv", (), x))
+    registry.close()
+
+
+def test_close_fails_waiters_but_running_batch_answers():
+    registry, entry = _registry("sss", "indexed", "serial")
+    xs = [rhs_block(entry.n, None, seed=s) for s in range(4)]
+
+    async def drive():
+        server = SolverServer(registry)
+        with _HeldBatches(server) as held:
+            running = asyncio.ensure_future(server.spmv(entry.key, xs[0]))
+            await held.entered()
+            waiters = [
+                asyncio.ensure_future(server.spmv(entry.key, x))
+                for x in xs[1:]
+            ]
+            await asyncio.sleep(0)
+            closing = asyncio.ensure_future(server.close())
+            for fut in waiters:
+                with pytest.raises(ServerClosedError):
+                    await asyncio.wait_for(fut, WAIT_S)
+            assert not running.done()
+            held.release()
+            await asyncio.wait_for(closing, WAIT_S)
+        resp = await running
+        assert resp.coalesced == 1
+        assert np.array_equal(resp.y, serial_compute(
+            entry, "spmv", (), xs[0]))
+        assert server.pending == 0
+
+    _run(drive())
+    registry.close()
+
+
+def test_bucket_map_empties_after_distinct_cg_params_drain():
+    registry, entry = _spd_registry("serial")
+    b = rhs_block(entry.n, None, seed=4)
+    tols = [10.0 ** (-4 - s / 10) for s in range(50)]
+
+    async def drive():
+        async with SolverServer(registry) as server:
+            resps = await asyncio.wait_for(asyncio.gather(
+                *[server.cg(entry.key, b, tol=tol) for tol in tols]
+            ), WAIT_S)
+            assert server._buckets == {}
+            assert server.pending == 0
+        return resps
+
+    resps = _run(drive())
+    assert all(r.coalesced == 1 for r in resps)
+    assert all(r.result.converged for r in resps)
+    registry.close()
+
+
+# ----------------------------------------------------------------------
 # Chaos drill: faults are contained, never wrong, never hung
 # ----------------------------------------------------------------------
 def test_chaos_under_load_completes_correct_or_typed():
@@ -319,7 +477,7 @@ def test_chaos_under_load_completes_correct_or_typed():
     )
 
     async def drive():
-        async with SolverServer(registry, window=0.003) as server:
+        async with SolverServer(registry) as server:
             report = await run_load(
                 server, entry.key, kind="spmv", concurrency=6,
                 n_requests=48, seed=5,
@@ -351,7 +509,7 @@ def test_chaos_cg_under_load_correct():
     )
 
     async def drive():
-        async with SolverServer(registry, window=0.003) as server:
+        async with SolverServer(registry) as server:
             return await run_load(
                 server, entry.key, kind="cg", concurrency=4,
                 n_requests=8, tol=1e-9, seed=6,
@@ -370,7 +528,7 @@ def test_serving_metrics_and_slo_reports():
     registry, entry = _registry("sss", "indexed", "serial")
 
     async def drive():
-        server = SolverServer(registry, window=0.005)
+        server = SolverServer(registry)
         server.add_slo("serve.p99", threshold_ms=10_000.0)
         server.add_slo(
             "serve.spmv.p50", threshold_ms=10_000.0,
@@ -399,7 +557,7 @@ def test_loadgen_report_shape_and_audit():
     registry, entry = _registry("sss", "indexed", "serial")
 
     async def drive():
-        async with SolverServer(registry, window=0.002) as server:
+        async with SolverServer(registry) as server:
             return await run_load(
                 server, entry.key, concurrency=4, n_requests=20,
                 pool_size=4, seed=7,
