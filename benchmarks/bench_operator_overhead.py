@@ -9,11 +9,14 @@ fixed-iteration CG (SSS + indexed reduction) under three operator
 regimes:
 
 * ``per_call`` — a fresh :class:`ParallelSymmetricSpMV` is constructed
-  for every application (the naive "build on use" pattern),
-* ``unbound``  — one driver reused, but workspaces and lazy caches are
-  re-resolved per call,
+  for every application (the naive "build on use" pattern): each call
+  binds the new driver's operator and drops it,
+* ``unbound``  — one driver reused through plain ``driver(x)`` calls:
+  the driver's cached bound operator plus a copy of each result into
+  a fresh array,
 * ``bound``    — ``driver.bind()``: precompiled tasks, persistent
-  zeroed-in-place workspaces, window-restricted scatters.
+  zeroed-in-place workspaces, window-restricted scatters, and the
+  workspace returned without a copy.
 
 It reports per-iteration wall-clock (p50 with the p95 tail, over the
 suite-wide warmup policy of ``common.timed_repeat``) and the
@@ -105,11 +108,12 @@ def make_variants(coo: COOMatrix, n_threads: int = N_THREADS):
 
     Returns ``(variant -> apply-callable, close-callable)``. The
     ``per_call`` closure stands the whole operator up inside every
-    application — driver, reduction indexing, *and* its thread pool —
-    which is exactly the state a bound operator keeps alive between
-    iterations. ``unbound`` and ``bound`` share one persistent threads
-    executor; ``bound`` additionally owns precompiled tasks, scatters
-    and zeroed-in-place workspaces.
+    application — driver, reduction indexing, bind *and* its thread
+    pool — which is exactly the state a bound operator keeps alive
+    between iterations. ``unbound`` and ``bound`` share one persistent
+    threads executor and apply the same kind of plan; ``unbound`` goes
+    through the driver's cached operator and copies each result out,
+    ``bound`` returns its workspace.
     """
     sss = SSSMatrix.from_coo(coo)
     parts = partition_nnz_balanced(sss.expanded_row_nnz(), n_threads)
@@ -125,6 +129,7 @@ def make_variants(coo: COOMatrix, n_threads: int = N_THREADS):
 
     def close():
         bound.close()
+        driver.close()
         shared.close()
 
     variants = {

@@ -509,17 +509,8 @@ def _cmd_spmv(args) -> int:
         return 2
     rng = np.random.default_rng(0)
     x = rng.standard_normal(coo.n_cols)
-    with tracing(tracer):
-        if args.executor == "processes":
-            # The process backend engages through the bound operator
-            # (segments + worker pool are a bind-time investment).
-            op = kernel.bind()
-            try:
-                y = np.array(op(x))
-            finally:
-                op.close()
-        else:
-            y = kernel(x)
+    with tracing(tracer), kernel:
+        y = kernel(x)
     ref = CSRMatrix.from_coo(coo).spmv(x)
     ok = np.allclose(y, ref)
     platform = PLATFORMS[args.platform]
@@ -608,19 +599,11 @@ def _cmd_cg(args) -> int:
     except ValidationError as exc:
         print(f"repro cg: {exc}", file=sys.stderr)
         return 2
-    if args.executor == "processes":
-        # Bind here (CG's own bind is idempotent on a bound operator)
-        # so the worker pool and segments get an explicit close below.
-        spmv = spmv.bind()
     rng = np.random.default_rng(0)
     x_true = rng.standard_normal(coo.n_rows)
     b = CSRMatrix.from_coo(coo).spmv(x_true)
-    try:
-        with tracing(tracer):
-            res = conjugate_gradient(spmv, b, tol=args.tol)
-    finally:
-        if args.executor == "processes":
-            spmv.close()
+    with tracing(tracer), spmv:
+        res = conjugate_gradient(spmv, b, tol=args.tol)
     err = float(np.abs(res.x - x_true).max())
     print(
         f"CG on {args.matrix} [{args.format}, {args.threads} threads]: "

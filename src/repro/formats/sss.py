@@ -254,7 +254,11 @@ class SSSMatrix(SymmetricFormat):
         self, row_start: int, row_end: int, k: Optional[int] = None
     ) -> None:
         """Build the partition's split and scatters (plus the flattened
-        ``k``-RHS indices) ahead of the first kernel call."""
+        ``k``-RHS indices) ahead of the first kernel call. A partition
+        without stored entries has nothing to build: its kernel returns
+        before the split."""
+        if self.rowptr[row_start] == self.rowptr[row_end]:
+            return
         _, local_sc, _, direct_sc = self._partition_split(row_start, row_end)
         local_sc.compile(k)
         direct_sc.compile(k)

@@ -156,8 +156,10 @@ class Combo:
         the harness classifies (serial combos ignore the plan: there is
         no batch to disrupt). ``executor_mode`` instead picks a plain
         backend ("threads"/"processes") for the parallel/bound drivers
-        — the cross-backend rotation of the fuzz-smoke CI job; note the
-        process backend only truly engages for bound combos.
+        — the cross-backend rotation of the fuzz-smoke CI job. Both
+        driver kinds apply through a bound operator, so both engage the
+        process backend; the harness closes the driver or operator it
+        built, and with it any worker pool and shared memory.
         """
         executor = None
         if self.driver != "serial":
@@ -165,22 +167,20 @@ class Combo:
                 executor = Executor("chaos", plan=chaos_plan)
             elif executor_mode is not None:
                 executor = Executor(executor_mode, max_workers=2)
+        apply = None
         try:
             dense = case.dense
             apply = self._build(case.coo, executor)
             k = None if self.op == "spmv" else self.k
             x = _rhs(case, k)
             if self.driver == "bound":
-                try:
-                    # Two applications through the persistent workspace:
-                    # the second catches stale-state zeroing bugs.
-                    y0 = np.array(apply(_rhs(case, k, salt=1)))
-                    ok0, r0 = check_against_oracle(
-                        y0, dense, _rhs(case, k, salt=1)
-                    )
-                    y = np.array(apply(x))
-                finally:
-                    apply.close()
+                # Two applications through the persistent workspace:
+                # the second catches stale-state zeroing bugs.
+                y0 = np.array(apply(_rhs(case, k, salt=1)))
+                ok0, r0 = check_against_oracle(
+                    y0, dense, _rhs(case, k, salt=1)
+                )
+                y = np.array(apply(x))
                 if not ok0:
                     return False, "mismatch", r0
             else:
@@ -190,6 +190,10 @@ class Combo:
         except Exception as exc:  # noqa: BLE001 - harness boundary
             return False, f"exception:{type(exc).__name__}", float("inf")
         finally:
+            # Serial combos apply a format method: nothing to close.
+            close = getattr(apply, "close", None)
+            if close is not None:
+                close()
             if executor is not None:
                 executor.close()
 

@@ -32,6 +32,10 @@ and ``ooc.shard_hits`` split cold and warm shard accesses,
 ``ooc.shard_evictions`` counts budget-forced drops, and the
 ``ooc.resident_bytes`` / ``ooc.resident_bytes_peak`` gauges expose the
 payload residency the smoke test asserts against the budget.
+
+Each resident shard's driver belongs to the operator: eviction and
+:meth:`ShardedOperator.close` close it, releasing the bound operator
+the driver applies through.
 """
 
 from __future__ import annotations
@@ -195,6 +199,7 @@ class ShardedOperator:
         ):
             victim = max(self._resident, key=lambda j: (j - index) % n)
             entry = self._resident.pop(victim)
+            entry.driver.close()
             self.resident_bytes -= entry.n_bytes
             if tracer.enabled:
                 tracer.count("ooc.shard_evictions")
@@ -242,6 +247,7 @@ class ShardedOperator:
                 f"{self.store.n_cols} columns"
             )
         tracer = _active_tracer()
+        k = x.shape[1] if x.ndim == 2 else None
         total = np.zeros_like(x) if y is None else y
         if total.shape != x.shape:
             raise ValueError(
@@ -253,8 +259,9 @@ class ShardedOperator:
                 entry = self._shard(index)
                 window = slice(entry.start, entry.end)
                 # Fixed ascending accumulation order: bit-identical
-                # across cache states and repeat applies.
-                total[window] += entry.driver(x[window])
+                # across cache states and repeat applies. The bound
+                # operator's workspace is added straight into ``total``.
+                total[window] += entry.driver.operator(k)(x[window])
         if tracer.enabled:
             tracer.count("ooc.applies")
         return total
@@ -265,8 +272,10 @@ class ShardedOperator:
         return self.store.diagonal()
 
     def close(self) -> None:
-        """Drop every resident shard."""
-        self._resident.clear()
+        """Drop every resident shard and close its driver."""
+        resident, self._resident = self._resident, {}
+        for entry in resident.values():
+            entry.driver.close()
         self.resident_bytes = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

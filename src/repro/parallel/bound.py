@@ -1,19 +1,23 @@
 """Bound operators: persistent SpM×V / SpM×M execution plans.
 
 Iterative solvers apply the same operator hundreds of times (CG,
-Fig. 14), yet the plain drivers pay avoidable per-call overhead every
-time: task closures are rebuilt, ``(p, N[, k])`` local buffers and the
-output vector are re-allocated, and the lazy scatter compilations of
-the formats may land inside the first timed iteration. This module is
-the repo's OSKI-style answer (Akbudak et al.; RACE's precomputed
-execution schedules): ``driver.bind(k)`` performs all of that work
-*once* and returns a :class:`BoundOperator` whose ``__call__`` only
-zeroes workspaces in place and runs the precompiled tasks.
+Fig. 14). Building the task closures, allocating the ``(p, N[, k])``
+local buffers and the output, and compiling the formats' lazy
+scatters on every call would be avoidable per-call overhead. This
+module is the repo's OSKI-style answer (Akbudak et al.; RACE's
+precomputed execution schedules): ``driver.bind(k)`` performs all of
+that work *once* and returns a :class:`BoundOperator` whose
+``__call__`` only zeroes workspaces in place and runs the precompiled
+tasks.
 
 Binding is signature-specific: ``k=None`` binds the 1-D SpM×V path,
 an integer ``k`` binds the ``(N, k)`` multi-RHS path. The returned
 array is the operator's private workspace — valid until the next call;
 copy it (or pass ``out=``) to keep a result.
+
+This is the only apply path: a plain ``driver(x)`` call applies the
+driver's own cached operator for ``x``'s signature
+(``driver.operator(k)``) and copies the result out.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..obs.tracer import active as _active_tracer, warn as _obs_warn
+from ..obs.tracer import Tracer, active as _active_tracer, warn as _obs_warn
 from ..resilience.errors import OperatorClosedError, PoisonedOperatorError
-from .spmv import _record_traffic
 
 __all__ = [
     "BoundOperator",
@@ -38,6 +41,57 @@ __all__ = [
 ]
 
 _POISON_POLICIES = ("recover", "raise")
+
+
+def _record_traffic(
+    tracer: Tracer, matrix, k: Optional[int], reduction=None
+) -> int:
+    """Model-relevant traffic counters for one application: matrix and
+    stream bytes from the :mod:`repro.analysis.traffic` model and (for
+    symmetric operators) the reduction rows actually touched vs the
+    full effective-ranges budget ``N·(p-1)``. Only called when a tracer
+    is enabled, so the analysis import stays off the cold-start path
+    (and avoids a module-level cycle: analysis imports parallel).
+    Returns the stream bytes for the ``op.traffic_bytes`` histogram."""
+    from ..analysis.traffic import spmm_stream_bytes, spmv_stream_bytes
+
+    size = matrix.size_bytes()
+    if k is None:
+        stream = spmv_stream_bytes(size, matrix.n_rows, matrix.n_cols)
+    else:
+        stream = spmm_stream_bytes(size, matrix.n_rows, matrix.n_cols, k)
+    tracer.count("traffic.matrix_bytes", size)
+    tracer.count("traffic.stream_bytes", stream)
+    if reduction is not None:
+        fp = reduction.footprint(k or 1)
+        tracer.count("reduce.rows_touched", fp.reduction_reads)
+        tracer.count(
+            "reduce.rows_budget",
+            reduction.n_rows * max(0, reduction.n_threads - 1) * (k or 1),
+        )
+        if getattr(reduction, "conflict_free", False):
+            sched = reduction.schedule
+            tracer.count("coloring.classes", sched.n_colors)
+            # One rendezvous per barrier-separated step; small classes
+            # are merged into serial steps, so this can be below the
+            # class count.
+            tracer.count("coloring.barrier_waits", sched.n_barriers)
+    return stream
+
+
+class _InputSlot:
+    """The input of the application in flight. Precompiled tasks read
+    it through :meth:`get`, so they reference this slot and not the
+    operator: no reference cycle, and a dropped operator is freed by
+    reference counting."""
+
+    __slots__ = ("x",)
+
+    def __init__(self):
+        self.x: Optional[np.ndarray] = None
+
+    def get(self) -> Optional[np.ndarray]:
+        return self.x
 
 
 def compile_symmetric_tasks(
@@ -75,10 +129,9 @@ def compile_symmetric_tasks(
 def compile_unsymmetric_tasks(
     matrix, partitions, k: Optional[int], y, get_x
 ) -> list:
-    """Per-thread closures for the row-partitioned unsymmetric driver,
-    matching the unbound dispatch: CSX partitions execute by index,
-    CSR by row range. Shared with the process-pool workers like
-    :func:`compile_symmetric_tasks`."""
+    """Per-thread closures for the row-partitioned unsymmetric driver:
+    CSX partitions execute by index, CSR by row range. Shared with the
+    process-pool workers like :func:`compile_symmetric_tasks`."""
     multi = k is not None
     tasks = []
     if hasattr(matrix, "spmv_partition_only"):
@@ -107,8 +160,10 @@ def compile_unsymmetric_tasks(
 class BoundOperator:
     """Reusable execution plan for repeated ``y = A @ x`` products.
 
-    Created through ``ParallelSymmetricSpMV.bind`` / ``ParallelSpMV
-    .bind`` — not directly. At bind time the operator
+    Created through ``driver.bind(k)`` — a new operator the caller owns
+    and must close — or ``driver.operator(k)`` — the driver's own
+    cached operator, closed by ``driver.close()``. At bind time the
+    operator
 
     (a) precompiles the per-thread task list (closures are built once,
         reading the input slot set by each call),
@@ -117,6 +172,11 @@ class BoundOperator:
     (c) eagerly compiles the format's lazy scatter/split caches
         (window-restricted scatters, flattened ``k``-RHS indices) so
         the first timed iteration is not a compilation run.
+
+    The operator keeps the driver's matrix, partitions, reduction and
+    executor, not the driver itself: a driver caching its operators
+    then forms no reference cycle with them, and dropping the driver
+    frees them by reference counting.
 
     Concurrency: the operator owns *one* set of persistent workspaces,
     so applications are inherently non-reentrant — two interleaved
@@ -135,6 +195,7 @@ class BoundOperator:
     Parameters
     ----------
     driver : ParallelSymmetricSpMV or ParallelSpMV
+        Source of the matrix, partitions, reduction and executor.
     k : int, optional
         Right-hand sides per application; ``None`` binds the 1-D
         SpM×V signature.
@@ -150,6 +211,11 @@ class BoundOperator:
         never returns a partially-written ``y``.
     """
 
+    #: Set by the driver that caches this operator: it is closed with
+    #: the driver, so garbage collection together with the driver is
+    #: not a leak and raises no ``ResourceWarning``.
+    _owned = False
+
     def __init__(
         self, driver, k: Optional[int] = None, on_poison: str = "recover"
     ):
@@ -164,7 +230,10 @@ class BoundOperator:
                 f"on_poison must be one of {_POISON_POLICIES}, "
                 f"got {on_poison!r}"
             )
-        self.driver = driver
+        self.matrix = m = driver.matrix
+        self.partitions = driver.partitions
+        self.reduction = getattr(driver, "reduction", None)
+        self.executor = driver.executor
         self.k = k
         self.on_poison = on_poison
         self.n_calls = 0
@@ -174,25 +243,19 @@ class BoundOperator:
         # workspaces means applications are non-reentrant by design
         # (see the class docstring for the lock-vs-busy-error choice).
         self._apply_lock = threading.Lock()
-        m = driver.matrix
         shape = (m.n_rows,) if k is None else (m.n_rows, k)
         self._y = np.zeros(shape, dtype=np.float64)
-        self._x: Optional[np.ndarray] = None
+        self._slot = _InputSlot()
         self._x_shape = (m.n_cols,) if k is None else (m.n_cols, k)
         self._x_staged: Optional[np.ndarray] = None
         self._remote = None
         self._arenas: list = []
-        tracer = _active_tracer()
-        with tracer.span("bind", k=k, threads=driver.n_threads):
-            with tracer.span("bind.precompile"):
-                self._precompile()
-            with tracer.span("bind.workspaces"):
-                self._allocate_workspaces()
-            if getattr(driver.executor, "mode", None) == "processes":
-                with tracer.span("bind.processes"):
-                    self._setup_process_backend()
-            with tracer.span("bind.tasks"):
-                self._tasks = self._build_tasks()
+        with _active_tracer().span("bind", k=k, threads=self.n_threads):
+            self._precompile()
+            self._allocate_workspaces()
+            if self.executor.mode == "processes":
+                self._setup_process_backend()
+            self._tasks = self._build_tasks()
         # Elements _zero_workspaces clears per call (constant once
         # bound) — reported through the "bound.zeroed_elements" counter.
         self._zero_volume = int(self._y.size) + self._locals_zero_volume()
@@ -210,7 +273,8 @@ class BoundOperator:
         """Allocate any persistent buffers beyond the output."""
 
     def _build_tasks(self) -> list:
-        """One precompiled closure per thread; each reads ``self._x``."""
+        """One precompiled closure per thread; each reads the input
+        slot (``self._slot.get``)."""
         raise NotImplementedError
 
     def _setup_process_backend(self) -> None:
@@ -230,11 +294,10 @@ class BoundOperator:
         from . import shm as _shm
         from .procpool import ProcessPool, WorkerSpec
 
-        driver = self.driver
-        executor = driver.executor
-        reduction = getattr(driver, "reduction", None)
+        executor = self.executor
+        reduction = self.reduction
         payload, table, data = _shm.pack_to_arena(
-            (driver.matrix, tuple(driver.partitions), reduction)
+            (self.matrix, tuple(self.partitions), reduction)
         )
         self._arenas.append(data)
 
@@ -272,7 +335,7 @@ class BoundOperator:
             k=self.k,
             plan=executor.plan,
         )
-        n_workers = driver.n_threads
+        n_workers = self.n_threads
         if executor.max_workers is not None:
             n_workers = min(n_workers, executor.max_workers)
         self._remote = ProcessPool(spec, n_workers)
@@ -293,7 +356,7 @@ class BoundOperator:
         """Execute the precompiled multiplication phase. Default: one
         batch over ``self._tasks``; the colored symmetric path overrides
         this with barrier-stepped execution."""
-        self.driver.executor.run_batch(
+        self.executor.run_batch(
             self._tasks, label=label, reset=self._zero_workspaces,
             remote=self._remote,
         )
@@ -303,12 +366,8 @@ class BoundOperator:
 
     # -- public surface -------------------------------------------------
     @property
-    def matrix(self):
-        return self.driver.matrix
-
-    @property
     def n_threads(self) -> int:
-        return self.driver.n_threads
+        return len(self.partitions)
 
     @property
     def closed(self) -> bool:
@@ -349,18 +408,16 @@ class BoundOperator:
 
     def bind(self, k: Optional[int] = None, on_poison: Optional[str] = None):
         """Idempotent re-bind: returns ``self`` when the signature
-        already matches, else binds the underlying driver afresh (so a
-        bound operator can be passed anywhere a driver is expected)."""
+        already matches, else binds a new operator over the same matrix,
+        partitions, reduction and executor (so a bound operator can be
+        passed anywhere a driver is expected)."""
         if (
             k == self.k
             and not self._closed
             and on_poison in (None, self.on_poison)
         ):
             return self
-        return self.driver.bind(k, on_poison=on_poison or self.on_poison)
-
-    def _expected_x_shape(self) -> tuple[int, ...]:
-        return self._x_shape
+        return type(self)(self, k, on_poison=on_poison or self.on_poison)
 
     def __call__(
         self, x: np.ndarray, out: Optional[np.ndarray] = None
@@ -413,7 +470,7 @@ class BoundOperator:
         overhead benchmark times this directly as the zero-
         instrumentation control for the disabled-tracer overhead."""
         self._zero_workspaces()
-        self._x = self._stage_input(x)
+        self._slot.x = self._stage_input(x)
         try:
             self._run_mult()
             self._finish()
@@ -423,7 +480,7 @@ class BoundOperator:
             self._poison()
             raise
         finally:
-            self._x = None
+            self._slot.x = None
         self.n_calls += 1
         if out is not None:
             np.copyto(out, self._y)
@@ -433,20 +490,20 @@ class BoundOperator:
     def _metric_labels(self) -> dict:
         """(format, reduction, backend) identity of this operator —
         the label set its streaming histograms are keyed by."""
-        reduction = getattr(self.driver, "reduction", None)
         return {
-            "format": self.driver.matrix.format_name,
-            "reduction": getattr(reduction, "name", "none"),
-            "backend": self.driver.executor.mode,
+            "format": self.matrix.format_name,
+            "reduction": getattr(self.reduction, "name", "none"),
+            "backend": self.executor.mode,
         }
 
     def _apply_traced(
         self, tracer, x: np.ndarray, out: Optional[np.ndarray]
     ) -> np.ndarray:
-        """The same application wrapped in phase spans and counters.
-        Phase names match the unbound driver ("spmv.mult" /
-        "spmv.reduce") so summaries aggregate across both paths.
-        Additionally streams per-application latency and modeled
+        """The same application wrapped in phase spans and counters:
+        ``bound.apply`` around ``bound.zero``, ``spmv.mult`` and
+        ``spmv.reduce`` (empty without a reduction phase), for every
+        apply — a plain ``driver(x)`` call included, since it applies
+        the driver's cached operator. Additionally streams per-application latency and modeled
         traffic into the ``op.apply_ns`` / ``op.traffic_bytes``
         histograms, keyed by (format, reduction, backend)."""
         t0 = perf_counter_ns()
@@ -454,7 +511,7 @@ class BoundOperator:
             with tracer.span("bound.zero"):
                 self._zero_workspaces()
             tracer.count("bound.zeroed_elements", self._zero_volume)
-            self._x = self._stage_input(x)
+            self._slot.x = self._stage_input(x)
             try:
                 with tracer.span("spmv.mult"):
                     self._run_mult(label="spmv.mult.task")
@@ -467,11 +524,10 @@ class BoundOperator:
                 self._poison()
                 raise
             finally:
-                self._x = None
+                self._slot.x = None
             tracer.count("bound.calls")
-            _, stream_bytes = _record_traffic(
-                tracer, self.driver.matrix, self.k,
-                getattr(self.driver, "reduction", None),
+            stream_bytes = _record_traffic(
+                tracer, self.matrix, self.k, self.reduction
             )
         labels = self._metric_labels()
         tracer.metrics.histogram("op.apply_ns", **labels).record(
@@ -507,17 +563,15 @@ class BoundOperator:
             self._tasks = []
             self._y = None
             self._x_staged = None
-            with _active_tracer().span("bound.close"):
-                # Pool before arenas: workers must have detached (or
-                # been terminated) before the owner unlinks the
-                # segments.
-                if self._remote is not None:
-                    self._remote.close()
-                    self._remote = None
-                for arena in self._arenas:
-                    arena.close()
-                self._arenas = []
-                self.driver.matrix.clear_caches()
+            # Pool before arenas: workers must have detached (or been
+            # terminated) before the owner unlinks the segments.
+            if self._remote is not None:
+                self._remote.close()
+                self._remote = None
+            for arena in self._arenas:
+                arena.close()
+            self._arenas = []
+            self.matrix.clear_caches()
 
     def __enter__(self) -> "BoundOperator":
         return self
@@ -529,9 +583,10 @@ class BoundOperator:
         # A bound operator owns workspaces and pinned format caches;
         # relying on GC to release them is a leak pattern. Count it
         # (obs warning counter, visible in every trace export) and
-        # raise the standard ResourceWarning.
+        # raise the standard ResourceWarning — unless a driver owns the
+        # operator and is being freed with it.
         try:
-            if not self._closed:
+            if not (self._closed or self._owned):
                 _obs_warn("bound_operator.unclosed_gc")
                 warnings.warn(
                     f"{type(self).__name__} garbage-collected without "
@@ -546,7 +601,7 @@ class BoundOperator:
         state = "closed" if self._closed else f"calls={self.n_calls}"
         return (
             f"<{type(self).__name__} k={self.k} "
-            f"threads={self.driver.n_threads} {state}>"
+            f"threads={self.n_threads} {state}>"
         )
 
 
@@ -564,28 +619,27 @@ class BoundSymmetricSpMV(BoundOperator):
 
     @property
     def _conflict_free(self) -> bool:
-        return getattr(self.driver.reduction, "conflict_free", False)
+        return getattr(self.reduction, "conflict_free", False)
 
     def _precompile(self) -> None:
         if self._conflict_free:
             # The partition kernels never run; compile the schedule's
             # multi-RHS flat indices instead.
-            self.driver.reduction.schedule.precompile(self.k)
+            self.reduction.schedule.precompile(self.k)
             return
-        for start, end in self.driver.partitions:
-            self.driver.matrix.precompile_partition(start, end, self.k)
+        for start, end in self.partitions:
+            self.matrix.precompile_partition(start, end, self.k)
 
     def _allocate_workspaces(self) -> None:
-        self._locals = self.driver.reduction.allocate_locals(self.k)
+        self._locals = self.reduction.allocate_locals(self.k)
 
     def _locals_zero_volume(self) -> int:
-        return int(self.driver.reduction.zeroed_elements(self.k))
+        return int(self.reduction.zeroed_elements(self.k))
 
     def _build_tasks(self) -> list:
         return compile_symmetric_tasks(
-            self.driver.matrix, self.driver.reduction,
-            self.driver.partitions, self.k, self._y, self._locals,
-            lambda: self._x,
+            self.matrix, self.reduction, self.partitions, self.k,
+            self._y, self._locals, self._slot.get,
         )
 
     def _run_mult(self, label: Optional[str] = None) -> None:
@@ -595,13 +649,13 @@ class BoundSymmetricSpMV(BoundOperator):
         from .coloring import run_colored_steps
 
         run_colored_steps(
-            self.driver.executor, self._tasks, label=label,
+            self.executor, self._tasks, label=label,
             zero=self._zero_workspaces, remote=self._remote,
         )
 
     def _zero_workspaces(self) -> None:
         self._y[...] = 0.0
-        self.driver.reduction.zero_locals(self._locals)
+        self.reduction.zero_locals(self._locals)
 
     def _full_rezero(self) -> None:
         # Recovery cannot trust the window-restricted zeroing: clear
@@ -612,7 +666,7 @@ class BoundSymmetricSpMV(BoundOperator):
                 buf[...] = 0.0
 
     def _finish(self) -> None:
-        self.driver.reduction.reduce(self._y, self._locals)
+        self.reduction.reduce(self._y, self._locals)
 
     def close(self) -> None:
         if not self._closed:
@@ -621,7 +675,7 @@ class BoundSymmetricSpMV(BoundOperator):
 
     def footprint(self, k: int = 1):
         """Working-set accounting of the bound reduction."""
-        return self.driver.reduction.footprint(k)
+        return self.reduction.footprint(k)
 
 
 class BoundSpMV(BoundOperator):
@@ -629,10 +683,10 @@ class BoundSpMV(BoundOperator):
     reduction phase, rows are thread-exclusive."""
 
     def _precompile(self) -> None:
-        self.driver.matrix.precompile(self.k)
+        self.matrix.precompile(self.k)
 
     def _build_tasks(self) -> list:
         return compile_unsymmetric_tasks(
-            self.driver.matrix, self.driver.partitions, self.k,
-            self._y, lambda: self._x,
+            self.matrix, self.partitions, self.k, self._y,
+            self._slot.get,
         )

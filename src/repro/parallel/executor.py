@@ -13,11 +13,13 @@ multiplication phase and the reduction phase). Four backends exist:
   wall-clock scaling on the host says nothing about the paper's
   platforms and is only used by the sanity benchmarks.
 * ``processes`` — GIL-free true parallelism over
-  ``multiprocessing.shared_memory`` workspaces. The backend only
-  engages through a *bound* operator (whose ``bind`` builds the
-  segments and the long-lived worker pool; see DESIGN.md §4g): plain
-  closures cannot cross a process boundary, so an unbound driver on
-  this executor degrades to the thread pool with a one-time
+  ``multiprocessing.shared_memory`` workspaces. The backend engages
+  through a bound operator (whose ``bind`` builds the segments and the
+  long-lived worker pool; see DESIGN.md §4g), which is how both
+  parallel drivers apply, plain ``driver(x)`` calls included. Per-call
+  closures cannot cross a process boundary, so a caller that hands
+  ``run_batch`` closures without a ``remote`` (the CSB-Sym comparator)
+  degrades to the thread pool with a one-time
   ``executor.processes_inline`` warning. A ``plan=`` composes chaos
   injection with the process backend — dispatch order is perturbed in
   the parent, raise/delay faults fire inside the workers.
@@ -161,8 +163,10 @@ class Executor:
         ``tasks`` by index. ``tasks`` itself stays authoritative for
         the serial fallback path, which runs the parent-side closures
         over the very same shared arrays. A ``processes`` executor
-        called without ``remote`` (an unbound driver) degrades to the
-        thread pool and counts ``executor.processes_inline`` once.
+        called without ``remote`` (a closure caller such as
+        :class:`~repro.parallel.csb_spmv.ParallelCSBSymSpMV`) degrades
+        to the thread pool and counts ``executor.processes_inline``
+        once.
 
         On failure every sibling future is awaited or cancelled first,
         then a single :class:`BatchExecutionError` aggregates all task

@@ -8,17 +8,20 @@ then the reduction of local vectors into the output.
 :class:`ParallelSpMV` is the unsymmetric counterpart (CSR / CSX): rows
 are independent, so there is no reduction phase at all.
 
-Both drivers execute through an :class:`~repro.parallel.executor
-.Executor`. The ``processes`` backend only engages through
-``driver.bind(...)`` — binding migrates the workspaces into shared
-memory and spins up the worker pool; a plain ``driver(x)`` call on a
-``processes`` executor runs its per-call closures on the thread pool
-instead (with a one-time ``executor.processes_inline`` warning), since
-closures cannot cross a process boundary.
+Both drivers apply through one path, the bound operator of
+:mod:`repro.parallel.bound`. ``driver.bind(k)`` returns a new operator
+the caller owns; ``driver.operator(k)`` binds once per ``k`` and keeps
+the operator until ``driver.close()``; a plain ``driver(x)`` applies
+that cached operator and copies the result into a fresh (or the given)
+output. Every call therefore runs on the driver's
+:class:`~repro.parallel.executor.Executor` exactly as a bound call
+does — on the ``processes`` backend, in the worker processes over
+shared-memory workspaces.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -27,7 +30,7 @@ from ..formats.base import SymmetricFormat
 from ..formats.csr import CSRMatrix
 from ..formats.csx.matrix import CSXMatrix
 from ..formats.validate import check_driver_x, prepare_driver_y
-from ..obs.tracer import Tracer, active as _active_tracer
+from .bound import BoundOperator, BoundSpMV, BoundSymmetricSpMV
 from .executor import Executor
 from .partition import validate_partitions
 from .reduction import ReductionFootprint, ReductionMethod, make_reduction
@@ -35,50 +38,84 @@ from .reduction import ReductionFootprint, ReductionMethod, make_reduction
 __all__ = ["ParallelSymmetricSpMV", "ParallelSpMV"]
 
 
-def _record_traffic(
-    tracer: Tracer, matrix, k: Optional[int], reduction=None
-) -> tuple[int, int]:
-    """Model-relevant traffic counters for one driver application:
-    matrix/stream bytes from the :mod:`repro.analysis.traffic` model and
-    (for symmetric drivers) the reduction rows actually touched vs the
-    full effective-ranges budget ``N·(p-1)``. Only called when a tracer
-    is enabled, so the analysis import stays off the cold-start path
-    (and avoids a module-level cycle: analysis imports parallel).
-    Returns ``(matrix_bytes, stream_bytes)`` so callers can feed the
-    same numbers into streaming metrics without recomputation."""
-    from ..analysis.traffic import spmm_stream_bytes, spmv_stream_bytes
+class _Driver:
+    """The surface both drivers share: ``bind``, the per-``k`` cache of
+    bound operators behind ``operator`` and plain calls, and ``close``.
 
-    size = matrix.size_bytes()
-    if k is None:
-        stream = spmv_stream_bytes(size, matrix.n_rows, matrix.n_cols)
-    else:
-        stream = spmm_stream_bytes(size, matrix.n_rows, matrix.n_cols, k)
-    tracer.count("traffic.matrix_bytes", size)
-    tracer.count("traffic.stream_bytes", stream)
-    if reduction is not None:
-        fp = reduction.footprint(k or 1)
-        tracer.count("reduce.rows_touched", fp.reduction_reads)
-        tracer.count(
-            "reduce.rows_budget",
-            reduction.n_rows * max(0, reduction.n_threads - 1) * (k or 1),
-        )
-        if getattr(reduction, "conflict_free", False):
-            sched = reduction.schedule
-            tracer.count("coloring.classes", sched.n_colors)
-            # One rendezvous per barrier-separated step; small classes
-            # are merged into serial steps, so this can be below the
-            # class count.
-            tracer.count("coloring.barrier_waits", sched.n_barriers)
-    return size, stream
+    Concurrent callers of one driver serialize on the cached operator's
+    lock. A solver handed a driver applies ``operator(k)`` directly and
+    reads its workspace, so concurrent solves need one driver (or one
+    ``bind()``) each."""
+
+    _bound_type: type
+
+    def __init__(
+        self,
+        matrix,
+        partitions: Sequence[tuple[int, int]],
+        executor: Optional[Executor],
+    ):
+        validate_partitions(partitions, matrix.n_rows)
+        self.matrix = matrix
+        self.partitions = [(int(s), int(e)) for s, e in partitions]
+        self.executor = executor or Executor("serial")
+        self._ops: dict[Optional[int], BoundOperator] = {}
+        self._ops_lock = threading.Lock()
+
+    @property
+    def n_threads(self) -> int:
+        return len(self.partitions)
+
+    def bind(
+        self, k: Optional[int] = None, on_poison: str = "recover"
+    ) -> BoundOperator:
+        """A new :class:`~repro.parallel.bound.BoundOperator` for ``k``
+        right-hand sides (``None`` = 1-D SpM×V): persistent workspaces,
+        precompiled tasks and scatters. The caller owns it and must
+        close it. ``on_poison`` selects the failed-apply policy."""
+        return self._bound_type(self, k, on_poison=on_poison)
+
+    def operator(self, k: Optional[int] = None) -> BoundOperator:
+        """The driver's own operator for ``k``: bound on first use,
+        then cached until :meth:`close`. One instance per ``k`` is
+        shared by every caller; it serializes its own applies."""
+        op = self._ops.get(k)  # lock-free hit: dict.get is atomic
+        if op is None:
+            with self._ops_lock:
+                op = self._ops.get(k)
+                if op is None:
+                    op = self.bind(k)
+                    op._owned = True
+                    self._ops[k] = op
+        return op
+
+    def __call__(
+        self, x: np.ndarray, y: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Compute ``y = A @ x`` through :meth:`operator`. ``x`` may be
+        a vector ``(n,)`` or a block of ``k`` right-hand sides
+        ``(n, k)`` (one matrix traversal for all columns). The result
+        is ``y`` if given, else a fresh array."""
+        x = check_driver_x(x, self.matrix.n_cols)
+        y = prepare_driver_y(y, self.matrix.n_rows, x)
+        return self.operator(x.shape[1] if x.ndim == 2 else None)(x, out=y)
+
+    def close(self) -> None:
+        """Close the cached operators. Idempotent; a later call binds
+        again."""
+        with self._ops_lock:
+            ops, self._ops = list(self._ops.values()), {}
+        for op in ops:
+            op.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-# Operand validation lives in repro.formats.validate (shared error
-# taxonomy); these aliases keep the historic private names importable.
-_check_driver_x = check_driver_x
-_prepare_driver_y = prepare_driver_y
-
-
-class ParallelSymmetricSpMV:
+class ParallelSymmetricSpMV(_Driver):
     """Two-phase multithreaded symmetric SpM×V.
 
     Parameters
@@ -94,6 +131,8 @@ class ParallelSymmetricSpMV:
     executor : Executor, optional
     """
 
+    _bound_type = BoundSymmetricSpMV
+
     def __init__(
         self,
         matrix: SymmetricFormat,
@@ -101,119 +140,10 @@ class ParallelSymmetricSpMV:
         reduction: Union[str, ReductionMethod] = "indexed",
         executor: Optional[Executor] = None,
     ):
-        validate_partitions(partitions, matrix.n_rows)
-        self.matrix = matrix
-        self.partitions = [(int(s), int(e)) for s, e in partitions]
+        super().__init__(matrix, partitions, executor)
         if isinstance(reduction, str):
             reduction = make_reduction(reduction, matrix, self.partitions)
         self.reduction = reduction
-        self.executor = executor or Executor("serial")
-
-    @property
-    def n_threads(self) -> int:
-        return len(self.partitions)
-
-    def __call__(
-        self, x: np.ndarray, y: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Compute ``y = A @ x`` with the configured thread layout.
-
-        ``x`` may be a vector ``(n,)`` or a block of ``k`` right-hand
-        sides ``(n, k)``; the 2-D case runs the multi-RHS kernels (one
-        matrix traversal for all columns) with ``(N, k)`` local buffers
-        and the same reduction indexing.
-        """
-        x = _check_driver_x(x, self.matrix.n_cols)
-        y = _prepare_driver_y(y, self.matrix.n_rows, x)
-        multi = x.ndim == 2
-        k = x.shape[1] if multi else None
-        tracer = _active_tracer()
-
-        if self.reduction.conflict_free:
-            return self._call_colored(x, y, k, tracer)
-
-        locals_ = self.reduction.allocate_locals(k)
-
-        # Phase 1 — multiplication (Alg. 3 lines 2-11), one task/thread.
-        def make_mult_task(tid: int):
-            start, end = self.partitions[tid]
-            y_direct, y_local = self.reduction.thread_targets(tid, y, locals_)
-
-            def task() -> None:
-                if multi:
-                    self.matrix.spmm_partition(
-                        x, y_direct, y_local, start, end
-                    )
-                else:
-                    self.matrix.spmv_partition(
-                        x, y_direct, y_local, start, end
-                    )
-
-            return task
-
-        def reset() -> None:
-            # Pre-batch workspace state for the executor's serial
-            # fallback: zeroed output and locals.
-            y[...] = 0.0
-            self.reduction.zero_locals(locals_)
-
-        with tracer.span("spmv.mult"):
-            self.executor.run_batch(
-                [make_mult_task(tid) for tid in range(self.n_threads)],
-                label="spmv.mult.task",
-                reset=reset,
-            )
-
-        # Phase 2 — reduction (Alg. 3 lines 12-16 / Section III-C).
-        with tracer.span("spmv.reduce"):
-            self.reduction.reduce(y, locals_)
-        if tracer.enabled:
-            tracer.count("spmv.calls")
-            _record_traffic(tracer, self.matrix, k, self.reduction)
-        return y
-
-    def _call_colored(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        k: Optional[int],
-        tracer: Tracer,
-    ) -> np.ndarray:
-        """Conflict-free path: the precompiled color-class schedule runs
-        class-at-a-time with direct output writes — no local vectors,
-        nothing to reduce (the ``spmv.reduce`` span stays for phase
-        accounting and is empty)."""
-        from .coloring import compile_colored_steps, run_colored_steps
-
-        steps = compile_colored_steps(
-            self.reduction.schedule, y, lambda: x, k
-        )
-
-        def zero() -> None:
-            y[...] = 0.0
-
-        with tracer.span("spmv.mult"):
-            run_colored_steps(
-                self.executor, steps, label="spmv.mult.task", zero=zero
-            )
-        with tracer.span("spmv.reduce"):
-            pass
-        if tracer.enabled:
-            tracer.count("spmv.calls")
-            _record_traffic(tracer, self.matrix, k, self.reduction)
-        return y
-
-    def bind(self, k: Optional[int] = None, on_poison: str = "recover"):
-        """Return a :class:`~repro.parallel.bound.BoundSymmetricSpMV`:
-        persistent workspaces, precompiled tasks and scatters, for
-        repeated application with this signature (``k=None`` = 1-D
-        SpM×V, integer ``k`` = ``(N, k)`` SpM×M). The amortize-
-        across-calls layer iterative solvers use. ``on_poison``
-        selects the failed-apply policy (see
-        :class:`~repro.parallel.bound.BoundOperator`)."""
-        from .bound import BoundSymmetricSpMV
-
-        return BoundSymmetricSpMV(self, k, on_poison=on_poison)
 
     def footprint(self, k: int = 1) -> ReductionFootprint:
         """Working-set accounting of the configured reduction (``k``
@@ -221,12 +151,14 @@ class ParallelSymmetricSpMV:
         return self.reduction.footprint(k)
 
 
-class ParallelSpMV:
+class ParallelSpMV(_Driver):
     """Row-partitioned multithreaded *unsymmetric* SpM×V (CSR / CSX).
 
     Output rows are exclusive to their thread, so phase 2 is empty —
     the baseline the symmetric kernels are compared against.
     """
+
+    _bound_type = BoundSpMV
 
     def __init__(
         self,
@@ -234,76 +166,10 @@ class ParallelSpMV:
         partitions: Sequence[tuple[int, int]],
         executor: Optional[Executor] = None,
     ):
-        validate_partitions(partitions, matrix.n_rows)
-        self.matrix = matrix
-        self.partitions = [(int(s), int(e)) for s, e in partitions]
-        self.executor = executor or Executor("serial")
+        super().__init__(matrix, partitions, executor)
         if isinstance(matrix, CSXMatrix):
             want = [(p.row_start, p.row_end) for p in matrix.partitions]
             if want != self.partitions:
                 raise ValueError(
                     "CSX matrix was preprocessed for different partitions"
                 )
-
-    @property
-    def n_threads(self) -> int:
-        return len(self.partitions)
-
-    def __call__(
-        self, x: np.ndarray, y: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Compute ``y = A @ x``; ``x`` may be ``(n,)`` or ``(n, k)``
-        (multi-RHS fast path, one matrix traversal per partition)."""
-        x = _check_driver_x(x, self.matrix.n_cols)
-        y = _prepare_driver_y(y, self.matrix.n_rows, x)
-        multi = x.ndim == 2
-        tracer = _active_tracer()
-
-        if isinstance(self.matrix, CSXMatrix):
-
-            def make_task(tid: int):
-                def task() -> None:
-                    if multi:
-                        self.matrix.spmm_partition_only(x, y, tid)
-                    else:
-                        self.matrix.spmv_partition_only(x, y, tid)
-
-                return task
-
-        else:
-
-            def make_task(tid: int):
-                start, end = self.partitions[tid]
-
-                def task() -> None:
-                    if multi:
-                        self.matrix.spmm_rows(x, y, start, end)
-                    else:
-                        self.matrix.spmv_rows(x, y, start, end)
-
-                return task
-
-        def reset() -> None:
-            y[...] = 0.0
-
-        with tracer.span("spmv.mult"):
-            self.executor.run_batch(
-                [make_task(tid) for tid in range(self.n_threads)],
-                label="spmv.mult.task",
-                reset=reset,
-            )
-        if tracer.enabled:
-            tracer.count("spmv.calls")
-            _record_traffic(
-                tracer, self.matrix, x.shape[1] if multi else None
-            )
-        return y
-
-    def bind(self, k: Optional[int] = None, on_poison: str = "recover"):
-        """Return a :class:`~repro.parallel.bound.BoundSpMV` with
-        persistent output workspace and precompiled tasks for repeated
-        application with this signature; ``on_poison`` selects the
-        failed-apply policy."""
-        from .bound import BoundSpMV
-
-        return BoundSpMV(self, k, on_poison=on_poison)

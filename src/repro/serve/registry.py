@@ -6,21 +6,20 @@ content rather than an object identity — two clients naming the same
 matrix coalesce even if they registered it independently, and a key
 survives process restarts (it is a pure function of the COO triplets).
 
-Each :class:`RegisteredOperator` owns one parallel driver and lazily
-binds it per RHS-block width ``k`` (``driver.bind(k)``): the OSKI-style
-amortization the paper's bound-operator layer provides, extended with
-a per-``k`` cache so a coalesced batch of 5 and a solo request reuse
-their respective compiled workspaces across the server's lifetime. A
-serial reference clone of the driver (same matrix, same partitions,
-same reduction instance, serial executor) backs the bit-identity
-oracle: what a request *would* have computed alone, with no executor
-and no coalescing in the loop.
+Each :class:`RegisteredOperator` owns one parallel driver, whose
+``operator(k)`` binds once per RHS-block width ``k`` and keeps the
+operator: the OSKI-style amortization the paper's bound-operator layer
+provides, so a coalesced batch of 5 and a solo request reuse their
+respective compiled workspaces across the server's lifetime. A serial
+reference clone of the driver (same matrix, same partitions, same
+reduction instance, serial executor) backs the bit-identity oracle:
+what a request *would* have computed alone, with no executor and no
+coalescing in the loop.
 
 Thread-safety: ``operator(k)`` may be called from the event loop and
-from executor threads concurrently; the per-``k`` bind cache is locked
-with the same lock-free-hit / locked-miss discipline as the format
-compilation caches (bound operators are safe to share once
-constructed — their ``apply`` serializes internally).
+from executor threads concurrently; the driver's per-``k`` cache takes
+a lock only on a miss, and bound operators are safe to share once
+constructed — their ``apply`` serializes internally.
 """
 
 from __future__ import annotations
@@ -117,45 +116,33 @@ def matrix_fingerprint(matrix) -> str:
 
 
 class RegisteredOperator:
-    """One matrix's serving entry: the parallel driver, its per-``k``
-    bound-operator cache, and the serial reference driver."""
+    """One matrix's serving entry: the parallel driver and the serial
+    reference driver."""
 
     def __init__(self, key: str, driver, serial_driver):
         self.key = key
         self.driver = driver
         self.serial_driver = serial_driver
-        self._ops: dict[Optional[int], object] = {}
-        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return self.driver.matrix.n_rows
 
     def operator(self, k: Optional[int] = None):
-        """The driver bound for ``k`` right-hand sides (``None`` = the
-        1-D SpM×V signature), bind-on-first-use and cached. The bound
-        operator serializes its own applies, so one instance per ``k``
-        is shared by every request."""
-        op = self._ops.get(k)  # lock-free hit: dict.get is atomic
-        if op is None:
-            with self._lock:
-                op = self._ops.get(k)
-                if op is None:
-                    op = self.driver.bind(k)
-                    self._ops[k] = op
-        return op
+        """The driver's cached operator for ``k`` right-hand sides
+        (``None`` = the 1-D SpM×V signature), shared by every
+        request."""
+        return self.driver.operator(k)
 
     def reference(self, x: np.ndarray) -> np.ndarray:
         """Serial single-request computation of ``A @ x`` — the
         bit-identity oracle for one coalesced response."""
-        return self.serial_driver(np.ascontiguousarray(x))
+        return self.serial_driver(x)
 
     def close(self) -> None:
-        """Release every bound operator's workspace."""
-        with self._lock:
-            ops, self._ops = dict(self._ops), {}
-        for op in ops.values():
-            op.close()
+        """Release both drivers' bound operators."""
+        self.driver.close()
+        self.serial_driver.close()
 
 
 class OperatorRegistry:

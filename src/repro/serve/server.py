@@ -79,15 +79,15 @@ def serial_compute(
     """What one request computes *alone* on the serial reference
     driver: the bit-identity oracle (load generator, tests) and the
     chaos fallback path. Returns an ndarray for ``"spmv"``, a
-    :class:`CGResult` for ``"cg"``."""
+    :class:`CGResult` for ``"cg"``. A CG solve reads the serial
+    driver's cached operator across each iteration, so concurrent
+    callers for one entry must take turns (the server's fallback
+    does)."""
     if kind == "spmv":
         return entry.reference(vec)
     tol, max_iter = params
-    # The lambda hides ``bind`` so block_cg applies the serial driver
-    # directly instead of binding a throwaway operator.
     res = block_conjugate_gradient(
-        lambda X: entry.serial_driver(X), vec[:, None],
-        tol=tol, max_iter=max_iter,
+        entry.serial_driver, vec[:, None], tol=tol, max_iter=max_iter,
     )
     return res.column(0)
 
@@ -353,10 +353,11 @@ class SolverServer:
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
-    def _op_lock(self, key: str, k: Optional[int]) -> asyncio.Lock:
+    def _op_lock(self, key: str, k) -> asyncio.Lock:
         """Serializes solves sharing the ``(key, k)`` bound operator:
         its persistent workspaces hold one computation at a time (a
-        block-CG reads the spmm result across an entire iteration)."""
+        block-CG reads the spmm result across an entire iteration).
+        ``k = "serial"`` guards the reference driver's operators."""
         lkey = (key, k)
         lock = self._op_locks.get(lkey)
         if lock is None:
@@ -459,9 +460,11 @@ class SolverServer:
         for req in live:
             self.metrics.counter("serve.fallback_requests").inc()
             try:
-                value = await loop.run_in_executor(
-                    None, serial_compute, entry, kind, params, req.vec
-                )
+                async with self._op_lock(entry.key, "serial"):
+                    value = await loop.run_in_executor(
+                        None, serial_compute, entry, kind, params,
+                        req.vec,
+                    )
             except Exception as exc:
                 self._finish_error(req, exc, counter="serve.failed")
             else:

@@ -10,12 +10,15 @@ every call, and releases the format's lazy caches on ``close()``.
 
 import gc
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.formats.base import FLAT_CACHE_MAX, RowScatter
 from repro.formats.csx.matrix import CSXMatrix
+from repro.obs import reset_warning_counts, warning_counts
 from repro.parallel import (
     BoundSpMV,
     BoundSymmetricSpMV,
@@ -295,3 +298,88 @@ def test_solver_accepts_already_bound_operator():
         res = conjugate_gradient(bound, b, tol=1e-10)
         assert res.converged
         assert np.allclose(dense @ res.x, b, atol=1e-7)
+
+
+def test_repeated_solves_share_the_drivers_cached_operator():
+    """Three solves of each solver on one driver apply one cached
+    operator per signature and leave nothing for the GC to warn
+    about (each solve used to bind a fresh operator and drop it)."""
+    dense, sss, parts, rng = _spd_system(seed=7)
+    driver = ParallelSymmetricSpMV(sss, parts, "indexed")
+    b = rng.standard_normal(dense.shape[0])
+    B = rng.standard_normal((dense.shape[0], 3))
+    precond = jacobi_preconditioner(np.diag(dense))
+    reset_warning_counts()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        n_spmv = n_spmm = 0
+        for _ in range(3):
+            res = conjugate_gradient(driver, b, tol=1e-10)
+            n_spmv += res.n_spmv
+            res = preconditioned_conjugate_gradient(
+                driver, b, precond, tol=1e-10
+            )
+            n_spmv += res.n_spmv
+            n_spmm += block_conjugate_gradient(driver, B, tol=1e-10).n_spmm
+        gc.collect()
+    assert set(driver._ops) == {None, 3}
+    assert driver.operator(None).n_calls == n_spmv
+    assert driver.operator(3).n_calls == n_spmm
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert "bound_operator.unclosed_gc" not in warning_counts()
+    driver.close()
+
+
+# ---------------------------------------------------------------------
+# The driver's operator cache: ownership and lifetime
+# ---------------------------------------------------------------------
+def test_dropped_driver_frees_cached_operators_by_refcount():
+    driver = _sym_driver("random", "sss", "indexed")
+    x = rhs_block(driver.matrix.n_cols, None)
+    X = rhs_block(driver.matrix.n_cols, 3)
+    driver(x)
+    driver(X)
+    refs = [weakref.ref(driver.operator(k)) for k in (None, 3)]
+    reset_warning_counts()
+    gc.disable()  # reference counting alone must free them
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del driver
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert not caught
+    assert "bound_operator.unclosed_gc" not in warning_counts()
+
+
+def test_driver_close_is_idempotent_and_rebinds():
+    driver = _sym_driver("random", "sss", "indexed")
+    x = rhs_block(driver.matrix.n_cols, None)
+    first = driver(x)
+    op = driver.operator()
+    driver.close()
+    driver.close()  # idempotent
+    assert op.closed and not driver._ops
+    again = driver(x)  # binds a new operator
+    assert driver.operator() is not op
+    assert np.array_equal(again, first)
+    with driver:
+        assert np.array_equal(driver(x), first)
+    assert not driver._ops
+
+
+@pytest.mark.parametrize("reduction", ["indexed", "coloring"])
+@pytest.mark.parametrize("k", KS, ids=["spmv", "spmm_k3"])
+def test_plain_call_applies_the_cached_operator(reduction, k):
+    driver = _sym_driver("random", "sss", reduction)
+    x = rhs_block(driver.matrix.n_cols, k)
+    y = driver(x)
+    op = driver.operator(k)
+    assert list(driver._ops) == [k] and op.n_calls == 1
+    out = np.empty_like(y)
+    assert driver(x, out) is out  # copied out of the workspace
+    assert op.n_calls == 2 and out is not op(x)
+    assert np.array_equal(out, y)
+    assert np.allclose(y, reference_product("random", x))
+    driver.close()

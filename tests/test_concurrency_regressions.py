@@ -11,6 +11,8 @@ fix and fails on the pre-fix code:
 * ``BoundOperator.__call__`` zeroed and filled *shared* persistent
   workspaces with no mutual exclusion, so two threads applying the
   same operator silently corrupted each other's results.
+* A driver's per-``k`` operator cache binds on first use; first calls
+  racing it must bind exactly one operator per ``k``.
 * The bounded lazy caches (``RowScatter`` flat indices, SSS partition
   splits, CSX plan scatters) mutated plain dicts from worker threads;
   eviction could yank a compiled array from under an in-flight kernel.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +192,58 @@ def test_bound_operator_recover_during_applies(fast_switching):
         stop.set()
         t.join()
         op.close()
+
+
+# ----------------------------------------------------------------------
+# Driver: first calls racing the bind-once operator cache
+# ----------------------------------------------------------------------
+def test_driver_first_calls_bind_once_per_k(fast_switching):
+    """Eight threads make their first call on one driver at the same
+    moment, half with vectors and half with ``k = 3`` blocks: exactly
+    one operator is bound per ``k`` (a check-then-act race on the cache
+    would bind, and leak, a second one), and every result is the
+    serial one bit for bit."""
+    matrix, parts = build_symmetric("random", "sss", "thirds")
+    driver = ParallelSymmetricSpMV(
+        matrix, parts, "indexed", executor=Executor("threads", 2)
+    )
+    serial = ParallelSymmetricSpMV(matrix, parts, driver.reduction)
+    n_threads = 8
+    xs = [
+        rhs_block(matrix.n_rows, None if i % 2 else 3, seed=i)
+        for i in range(n_threads)
+    ]
+    refs = [serial(x) for x in xs]
+    binds: list = []
+    bind = driver.bind
+
+    def counting_bind(k=None, **kw):
+        binds.append(k)
+        time.sleep(0.01)  # hold the miss open while the others arrive
+        return bind(k, **kw)
+
+    driver.bind = counting_bind
+    start = threading.Barrier(n_threads, timeout=10)
+    results: list = [None] * n_threads
+
+    def worker(i: int) -> None:
+        start.wait()
+        results[i] = driver(xs[i])
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(binds, key=str) == [3, None]
+    assert set(driver._ops) == {None, 3}
+    for got, ref in zip(results, refs):
+        assert got is not None and np.array_equal(got, ref)
+    driver.close()
+    driver.executor.close()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ generation and a SIGKILL mid-solve, resuming bit-identically.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -17,6 +18,8 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ import pytest
 from repro.cli import main
 from repro.formats import COOMatrix, SSSMatrix
 from repro.matrices.mmio import iter_coordinates, read_matrix_market
+from repro.obs import reset_warning_counts, warning_counts
 from repro.obs.tracer import Tracer, tracing
 from repro.matrices.generators import grid_laplacian_2d
 from repro.matrices.mmio import write_matrix_market
@@ -407,6 +411,47 @@ class TestShardedOperator:
         # LRU misses on every access of a cyclic sweep (8 per apply).
         assert tracer.counters()["ooc.shards_loaded"] / 10 <= 5.5
         assert op.peak_resident_bytes <= op.memory_budget
+
+    def test_evicted_shard_operators_are_freed(self, grid_store):
+        """Eviction closes the dropped shard's driver: even while the
+        driver object lives on, its bound operator is released and dies
+        by reference counting, with no GC warning."""
+        total = grid_store.total_payload_bytes()
+        largest = max(i.n_bytes for i in grid_store.shards)
+        x = np.random.default_rng(4).standard_normal(grid_store.n_cols)
+        unbounded = ShardedOperator(grid_store, n_threads=2)
+        want = unbounded(x)
+        unbounded.close()
+        op = ShardedOperator(
+            grid_store, memory_budget=max(largest, total // 2), n_threads=2
+        )
+        seen = []  # (driver, weakref to its operator), drivers kept alive
+        reset_warning_counts()
+        gc.disable()  # reference counting alone must free them
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(10):
+                    assert np.array_equal(op(x), want)
+                    seen += [
+                        (entry.driver, weakref.ref(entry.driver.operator()))
+                        for entry in op._resident.values()
+                    ]
+                resident = [entry.driver for entry in op._resident.values()]
+                evicted = [
+                    (d, r) for d, r in seen
+                    if not any(d is live for live in resident)
+                ]
+                assert evicted
+                for driver, ref in evicted:
+                    assert not driver._ops and ref() is None
+                del resident, evicted
+                op.close()
+                assert all(ref() is None for _, ref in seen)
+        finally:
+            gc.enable()
+        assert not caught
+        assert "bound_operator.unclosed_gc" not in warning_counts()
 
     def test_resident_drivers_hold_window_arrays(self, grid_store):
         op = ShardedOperator(grid_store, n_threads=2)

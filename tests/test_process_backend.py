@@ -24,6 +24,7 @@ import pytest
 from repro.obs import Tracer, reset_warning_counts, tracing, warning_counts
 from repro.parallel import (
     Executor,
+    ParallelCSBSymSpMV,
     ParallelSymmetricSpMV,
     live_segments,
     shared_memory_available,
@@ -134,20 +135,46 @@ def test_worker_spans_carry_worker_pid():
     assert pids and os.getpid() not in pids
 
 
-def test_unbound_driver_degrades_inline_with_warning():
+def test_closure_caller_degrades_inline_with_warning():
     reset_warning_counts()
-    matrix, parts = build_symmetric("random", "sss", "thirds")
+    matrix, parts = build_symmetric("random", "csb-sym", "thirds")
     ex = Executor("processes", max_workers=2)
     try:
-        kernel = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex)
+        kernel = ParallelCSBSymSpMV(matrix, parts, executor=ex)
         x = rhs_block(matrix.n_cols, None)
-        # No bound operator → no shared segments → thread-pool degrade,
-        # counted exactly once across repeated applications.
+        # Per-call closures carry no shared-memory state → thread-pool
+        # degrade, counted exactly once across repeated applications.
         for _ in range(2):
             assert np.allclose(kernel(x), reference_product("random", x))
     finally:
         ex.close()
     assert warning_counts().get("executor.processes_inline") == 1
+    assert live_segments() == []
+
+
+def test_plain_driver_call_runs_in_workers():
+    reset_warning_counts()
+    matrix, parts = build_symmetric("random", "sss", "thirds")
+    x = rhs_block(matrix.n_cols, None)
+    serial = ParallelSymmetricSpMV(matrix, parts, "indexed")(x)
+    ex = Executor("processes", max_workers=2)
+    tracer = Tracer()
+    try:
+        driver = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex)
+        with tracing(tracer):
+            for _ in range(2):
+                assert np.array_equal(driver(x), serial)
+        assert live_segments()  # the cached operator's arenas
+        driver.close()
+    finally:
+        ex.close()
+    pids = {
+        ev.attrs["pid"]
+        for _, ev in tracer.events()
+        if ev.name == "spmv.mult.task"
+    }
+    assert pids and os.getpid() not in pids
+    assert "executor.processes_inline" not in warning_counts()
     assert live_segments() == []
 
 

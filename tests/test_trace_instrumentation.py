@@ -178,7 +178,8 @@ def test_per_call_driver_records_spmv_counters():
         driver(x)
         driver(x)
     c = t.counters()
-    assert c["spmv.calls"] == 2
+    # A plain call applies the driver's cached bound operator.
+    assert c["bound.calls"] == 2
     assert c["traffic.matrix_bytes"] == 2 * matrix.size_bytes()
     assert c["traffic.stream_bytes"] > c["traffic.matrix_bytes"]
     assert 0 < c["reduce.rows_touched"] <= c["reduce.rows_budget"]
