@@ -65,7 +65,6 @@ from .formats.validate import ValidationError
 from .machine import PLATFORMS, predict_serial_csr, predict_spmv
 from .obs import (
     SLO,
-    LogHistogram,
     Tracer,
     load_trace,
     metrics_report,
@@ -703,18 +702,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _merged_named_histogram(snapshot: dict, name: str):
-    """Merge every labelled series of histogram ``name`` in a registry
-    snapshot into one distribution (``None`` when absent)."""
-    merged = None
-    for entry in snapshot.get("histograms", ()):
-        if entry["name"] != name:
-            continue
-        h = LogHistogram.from_dict(entry["data"])
-        merged = h if merged is None else merged.merge(h)
-    return merged
-
-
 def _cmd_metrics(args) -> int:
     coo = get_entry(args.matrix).build(scale=args.scale)
     if args.rcm:
@@ -797,7 +784,7 @@ def _cmd_metrics(args) -> int:
 
     rc = 0
     if args.slo_ms is not None:
-        hist = _merged_named_histogram(snap, "op.apply_ns")
+        hist = tracer.metrics.merged_matching("op.apply_ns")
         if hist is None:
             print("repro metrics: no op.apply_ns samples for the SLO",
                   file=sys.stderr)

@@ -285,7 +285,7 @@ def iter_coordinates(
     The banner and size line are consumed eagerly (malformed headers
     raise here, not at first iteration); entry parsing is lazy.
     Closing the generator (or exhausting it) closes the file when this
-    function opened it.
+    function opened it, whether or not iteration has started.
     """
     if upper not in ("mirror", "error"):
         raise ValueError(f"upper must be 'mirror' or 'error', got {upper!r}")
@@ -317,6 +317,9 @@ def iter_coordinates(
 
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         try:
+            # Primed below: close() on a generator that never started
+            # skips its ``finally``, which would leave the file open.
+            yield  # type: ignore[misc]
             seen = 0
             block: list[str] = []
             for ln in fh:
@@ -347,4 +350,6 @@ def iter_coordinates(
             if owns:
                 fh.close()
 
-    return header, chunks()
+    gen = chunks()
+    next(gen)
+    return header, gen

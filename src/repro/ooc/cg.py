@@ -2,8 +2,8 @@
 
 :func:`checkpointed_cg` wires three pieces that are each independently
 tested — the :class:`~repro.ooc.operator.ShardedOperator` (bounded
-resident matrix bytes), the existing CG/PCG recurrences with their
-``checkpoint``/``resume_from`` hooks, and the
+resident matrix bytes), the CG recurrence (Jacobi-preconditioned or
+not) with its ``checkpoint``/``resume_from`` hooks, and the
 :class:`~repro.ooc.checkpoint.CheckpointStore` (atomic generations,
 CRC-verified recovery) — into one crash-safe solve:
 
@@ -24,10 +24,11 @@ from typing import Optional
 import numpy as np
 
 from ..obs.tracer import active as _active_tracer
-from ..solvers.cg import CGResult, CGState, conjugate_gradient
-from ..solvers.pcg import (
+from ..solvers.cg import (
+    CGResult,
+    CGState,
+    conjugate_gradient,
     jacobi_preconditioner,
-    preconditioned_conjugate_gradient,
 )
 from .checkpoint import CheckpointStore
 
@@ -100,18 +101,14 @@ def checkpointed_cg(
         def checkpoint_cb(state: CGState) -> None:
             store.save(state.iteration, state.to_dict())
 
-    if precond == "jacobi":
-        result = preconditioned_conjugate_gradient(
-            operator, b, jacobi_preconditioner(operator.diagonal()),
-            tol=tol, max_iter=max_iter,
-            checkpoint=checkpoint_cb, checkpoint_every=checkpoint_every,
-            resume_from=resume_state,
-        )
-    else:
-        result = conjugate_gradient(
-            operator, b,
-            tol=tol, max_iter=max_iter,
-            checkpoint=checkpoint_cb, checkpoint_every=checkpoint_every,
-            resume_from=resume_state,
-        )
+    result = conjugate_gradient(
+        operator, b,
+        precond=(
+            jacobi_preconditioner(operator.diagonal())
+            if precond == "jacobi" else None
+        ),
+        tol=tol, max_iter=max_iter,
+        checkpoint=checkpoint_cb, checkpoint_every=checkpoint_every,
+        resume_from=resume_state,
+    )
     return OOCSolveResult(result, resumed_from)

@@ -28,9 +28,8 @@ from repro.parallel import (
 from repro.solvers import (
     block_conjugate_gradient,
     conjugate_gradient,
-    preconditioned_conjugate_gradient,
+    jacobi_preconditioner,
 )
-from repro.solvers.pcg import jacobi_preconditioner
 
 from tests.conformance import (
     CASES,
@@ -274,8 +273,9 @@ def test_pcg_auto_binds_parallel_driver():
     dense, sss, parts, rng = _spd_system(seed=4)
     driver = ParallelSymmetricSpMV(sss, parts, "effective")
     b = rng.standard_normal(dense.shape[0])
-    res = preconditioned_conjugate_gradient(
-        driver, b, jacobi_preconditioner(np.diag(dense)), tol=1e-10
+    res = conjugate_gradient(
+        driver, b, precond=jacobi_preconditioner(np.diag(dense)),
+        tol=1e-10,
     )
     assert res.converged
     assert np.allclose(dense @ res.x, b, atol=1e-7)
@@ -316,8 +316,8 @@ def test_repeated_solves_share_the_drivers_cached_operator():
         for _ in range(3):
             res = conjugate_gradient(driver, b, tol=1e-10)
             n_spmv += res.n_spmv
-            res = preconditioned_conjugate_gradient(
-                driver, b, precond, tol=1e-10
+            res = conjugate_gradient(
+                driver, b, precond=precond, tol=1e-10
             )
             n_spmv += res.n_spmv
             n_spmm += block_conjugate_gradient(driver, B, tol=1e-10).n_spmm

@@ -29,7 +29,6 @@ from repro.parallel import ParallelSymmetricSpMV
 from repro.solvers import (
     block_conjugate_gradient,
     conjugate_gradient,
-    preconditioned_conjugate_gradient,
     jacobi_preconditioner,
 )
 
@@ -151,8 +150,8 @@ def test_solver_iteration_metrics_pcg_and_block_cg():
     a, b = _spd_system()
     tracer = Tracer()
     with tracing(tracer):
-        res_p = preconditioned_conjugate_gradient(
-            lambda x: a @ x, b, jacobi_preconditioner(np.diag(a)),
+        res_p = conjugate_gradient(
+            lambda x: a @ x, b, precond=jacobi_preconditioner(np.diag(a)),
             tol=1e-10,
         )
         res_b = block_conjugate_gradient(

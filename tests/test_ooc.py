@@ -54,10 +54,10 @@ from repro.parallel import (
 )
 from repro.resilience import ChaosPlan
 from repro.serve.registry import matrix_fingerprint
-from repro.solvers.cg import CGState, conjugate_gradient
-from repro.solvers.pcg import (
+from repro.solvers.cg import (
+    CGState,
+    conjugate_gradient,
     jacobi_preconditioner,
-    preconditioned_conjugate_gradient,
 )
 
 from .conftest import random_symmetric_dense
@@ -248,8 +248,14 @@ class TestIngest:
             "%%MatrixMarket matrix coordinate real general\n"
             "2 2 1\n1 1 1.0\n"
         )
-        with pytest.raises(ManifestError, match="symmetric"):
-            ingest_matrix_market(bad, tmp_path / "out")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ManifestError, match="symmetric"):
+                ingest_matrix_market(bad, tmp_path / "out")
+            gc.collect()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError, match="no shard manifest"):
@@ -598,19 +604,19 @@ class TestSolverResume:
         A, b = self._system(seed=5)
         spmv = lambda v: A @ v  # noqa: E731
         pre = jacobi_preconditioner(np.diag(A))
-        full = preconditioned_conjugate_gradient(
-            spmv, b, pre, tol=1e-10
+        full = conjugate_gradient(
+            spmv, b, precond=pre, tol=1e-10
         )
         states = []
-        preconditioned_conjugate_gradient(
-            spmv, b, pre, tol=1e-10,
+        conjugate_gradient(
+            spmv, b, precond=pre, tol=1e-10,
             checkpoint=lambda s: states.append(
                 CGState.from_dict(s.to_dict())
             ),
             checkpoint_every=2,
         )
-        res = preconditioned_conjugate_gradient(
-            spmv, b, pre, tol=1e-10, resume_from=states[0]
+        res = conjugate_gradient(
+            spmv, b, precond=pre, tol=1e-10, resume_from=states[0]
         )
         assert np.array_equal(res.x, full.x)
         assert res.iterations == full.iterations
@@ -626,8 +632,8 @@ class TestSolverResume:
         )
         state = CGState.from_dict(states[0])
         with pytest.raises(ValueError, match="cannot resume"):
-            preconditioned_conjugate_gradient(
-                spmv, b, jacobi_preconditioner(np.diag(A)),
+            conjugate_gradient(
+                spmv, b, precond=jacobi_preconditioner(np.diag(A)),
                 resume_from=state,
             )
 
@@ -824,7 +830,8 @@ class TestCLI:
                      "--chaos-io", "1.0"]) == 1
         assert "unreadable" in capsys.readouterr().err
 
-    def test_sigkill_resume_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("precond", ["none", "jacobi"])
+    def test_sigkill_resume_bit_identical(self, tmp_path, precond):
         """Kill -9 mid-solve; --resume completes bit-identically."""
         mm = _laplacian_mm(tmp_path / "lap.mtx", 600)
         shards = tmp_path / "shards"
@@ -842,6 +849,7 @@ class TestCLI:
             "--memory-budget", "64K",
             "--checkpoint-dir", str(tmp_path / "ck"),
             "--checkpoint-every", "5", "--seed", "7",
+            "--precond", precond,
         ]
         # Reference: uninterrupted solve.
         ref = subprocess.run(

@@ -1,4 +1,4 @@
-"""Unit tests for the Jacobi-preconditioned CG extension."""
+"""Unit tests for Jacobi-preconditioned CG (``precond=``)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.solvers import (
     OpCounter,
     conjugate_gradient,
     jacobi_preconditioner,
-    preconditioned_conjugate_gradient,
 )
 
 
@@ -42,8 +41,8 @@ def test_pcg_converges(sym_dense_medium, rng):
     x_true = rng.standard_normal(coo.n_rows)
     b = csr.spmv(x_true)
     precond = jacobi_preconditioner(coo.diagonal())
-    res = preconditioned_conjugate_gradient(
-        csr.spmv, b, precond, tol=1e-12
+    res = conjugate_gradient(
+        csr.spmv, b, precond=precond, tol=1e-12
     )
     assert res.converged
     assert np.allclose(res.x, x_true, atol=1e-6)
@@ -56,8 +55,8 @@ def test_pcg_beats_cg_on_ill_conditioned():
     rng = np.random.default_rng(1)
     b = csr.spmv(rng.standard_normal(400))
     plain = conjugate_gradient(csr.spmv, b, tol=1e-10, max_iter=5000)
-    pre = preconditioned_conjugate_gradient(
-        csr.spmv, b, jacobi_preconditioner(coo.diagonal()),
+    pre = conjugate_gradient(
+        csr.spmv, b, precond=jacobi_preconditioner(coo.diagonal()),
         tol=1e-10, max_iter=5000,
     )
     assert pre.converged
@@ -69,8 +68,9 @@ def test_pcg_same_solution_as_cg(sym_dense_medium, rng):
     csr = CSRMatrix.from_coo(coo)
     b = csr.spmv(rng.standard_normal(coo.n_rows))
     plain = conjugate_gradient(csr.spmv, b, tol=1e-12)
-    pre = preconditioned_conjugate_gradient(
-        csr.spmv, b, jacobi_preconditioner(coo.diagonal()), tol=1e-12
+    pre = conjugate_gradient(
+        csr.spmv, b, precond=jacobi_preconditioner(coo.diagonal()),
+        tol=1e-12,
     )
     assert np.allclose(plain.x, pre.x, atol=1e-7)
 
@@ -80,8 +80,8 @@ def test_pcg_nonzero_initial_guess(sym_dense_medium, rng):
     csr = CSRMatrix.from_coo(coo)
     x_true = rng.standard_normal(coo.n_rows)
     b = csr.spmv(x_true)
-    res = preconditioned_conjugate_gradient(
-        csr.spmv, b, jacobi_preconditioner(coo.diagonal()),
+    res = conjugate_gradient(
+        csr.spmv, b, precond=jacobi_preconditioner(coo.diagonal()),
         x0=x_true * 0.9, tol=1e-12,
     )
     assert res.converged
@@ -93,8 +93,8 @@ def test_pcg_counter(sym_dense_medium, rng):
     csr = CSRMatrix.from_coo(coo)
     b = csr.spmv(rng.standard_normal(coo.n_rows))
     counter = OpCounter()
-    res = preconditioned_conjugate_gradient(
-        csr.spmv, b, jacobi_preconditioner(coo.diagonal()),
+    res = conjugate_gradient(
+        csr.spmv, b, precond=jacobi_preconditioner(coo.diagonal()),
         tol=1e-10, counter=counter,
     )
     assert counter.flops == res.vector_flops > 0
@@ -104,8 +104,8 @@ def test_pcg_max_iter_cap(sym_dense_medium, rng):
     coo = COOMatrix.from_dense(sym_dense_medium)
     csr = CSRMatrix.from_coo(coo)
     b = csr.spmv(rng.standard_normal(coo.n_rows))
-    res = preconditioned_conjugate_gradient(
-        csr.spmv, b, jacobi_preconditioner(coo.diagonal()),
+    res = conjugate_gradient(
+        csr.spmv, b, precond=jacobi_preconditioner(coo.diagonal()),
         tol=1e-300, max_iter=4,
     )
     assert not res.converged and res.iterations == 4
@@ -129,8 +129,9 @@ def test_pcg_nan_operator_breaks_down(sym_dense_medium, rng):
     csr = CSRMatrix.from_dense(sym_dense_medium)
     b = rng.standard_normal(sym_dense_medium.shape[0])
     precond = jacobi_preconditioner(np.diag(sym_dense_medium))
-    res = preconditioned_conjugate_gradient(
-        _faulty_after(csr.spmv, 2), b, precond, tol=1e-12, max_iter=500
+    res = conjugate_gradient(
+        _faulty_after(csr.spmv, 2), b, precond=precond, tol=1e-12,
+        max_iter=500,
     )
     assert not res.converged
     assert res.breakdown is not None
@@ -145,8 +146,8 @@ def test_pcg_nan_preconditioner_breaks_down(sym_dense_medium, rng):
     def bad_precond(r):
         return np.full_like(r, np.nan)
 
-    res = preconditioned_conjugate_gradient(
-        csr.spmv, b, bad_precond, tol=1e-12, max_iter=500
+    res = conjugate_gradient(
+        csr.spmv, b, precond=bad_precond, tol=1e-12, max_iter=500
     )
     assert not res.converged
     assert res.breakdown is not None
@@ -158,8 +159,9 @@ def test_pcg_indefinite_breakdown(rng):
     dense = np.diag([1.0, -1.0, 2.0])
     csr = CSRMatrix.from_dense(dense)
     precond = jacobi_preconditioner(np.array([1.0, 1.0, 2.0]))
-    res = preconditioned_conjugate_gradient(
-        csr.spmv, np.array([0.0, 1.0, 0.0]), precond, max_iter=100
+    res = conjugate_gradient(
+        csr.spmv, np.array([0.0, 1.0, 0.0]), precond=precond,
+        max_iter=100,
     )
     assert not res.converged
     assert res.breakdown is not None
@@ -179,9 +181,55 @@ def test_pcg_restart_recovers_transient_fault(sym_dense_medium, rng):
         y = csr.spmv(x)
         return np.full_like(y, np.nan) if calls["n"] == 3 else y
 
-    res = preconditioned_conjugate_gradient(
-        transient, b, precond, tol=1e-10, restart=True
+    res = conjugate_gradient(
+        transient, b, precond=precond, tol=1e-10, restart=True
     )
     assert res.converged
     assert res.breakdown is None
     assert np.allclose(res.x, x_true, atol=1e-5)
+
+
+# ----------------------------------------------------------------------
+# One loop serves both recurrences: an identity preconditioner takes
+# the preconditioned branch yet must reproduce plain CG bit for bit.
+# ----------------------------------------------------------------------
+def _eigen_system(kind: str, n: int = 40, seed: int = 3):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(0.5, 5.0, n)
+    if kind == "indefinite":
+        eig[: n // 4] *= -1.0
+    elif kind == "near_singular":
+        eig[: n // 5] = 10.0 ** rng.uniform(-15, -12, n // 5)
+    a = (q * eig) @ q.T
+    return 0.5 * (a + a.T), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("restart", [False, True])
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "near_singular"])
+def test_identity_precond_matches_plain_cg(kind, restart):
+    a, b = _eigen_system(kind)
+    kw = dict(
+        tol=1e-12, restart=restart, record_history=True,
+        stagnation_window=10,
+    )
+    plain = conjugate_gradient(lambda v: a @ v, b, **kw)
+    ident = conjugate_gradient(
+        lambda v: a @ v, b, precond=lambda r: r.copy(), **kw
+    )
+    np.testing.assert_array_equal(ident.x, plain.x)
+    assert ident.iterations == plain.iterations
+    assert ident.residual_norm == plain.residual_norm
+    assert ident.n_spmv == plain.n_spmv
+    np.testing.assert_array_equal(
+        ident.residual_history, plain.residual_history
+    )
+    key = lambda r: (  # noqa: E731
+        None if r.breakdown is None
+        else (r.breakdown.kind, r.breakdown.iteration)
+    )
+    assert key(ident) == key(plain)
+    # Each system drives the branch it is here for.
+    assert (plain.breakdown is None) == (kind == "spd")
+    restarted = restart and kind != "spd"
+    assert plain.n_spmv == plain.iterations + restarted

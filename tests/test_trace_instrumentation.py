@@ -19,9 +19,8 @@ from repro.parallel import (
 from repro.solvers import (
     block_conjugate_gradient,
     conjugate_gradient,
-    preconditioned_conjugate_gradient,
+    jacobi_preconditioner,
 )
-from repro.solvers.pcg import jacobi_preconditioner
 
 from tests.conformance import (
     REDUCTIONS,
@@ -107,14 +106,14 @@ def test_pcg_identical_under_tracing():
     mask = coo.rows == coo.cols
     diag[coo.rows[mask]] = coo.vals[mask]
     precond = jacobi_preconditioner(diag)
-    res_off = preconditioned_conjugate_gradient(
-        ParallelSymmetricSpMV(sss, parts, "indexed"), b, precond,
+    res_off = conjugate_gradient(
+        ParallelSymmetricSpMV(sss, parts, "indexed"), b, precond=precond,
         tol=1e-10,
     )
     with tracing() as t:
-        res_on = preconditioned_conjugate_gradient(
-            ParallelSymmetricSpMV(sss, parts, "indexed"), b, precond,
-            tol=1e-10,
+        res_on = conjugate_gradient(
+            ParallelSymmetricSpMV(sss, parts, "indexed"), b,
+            precond=precond, tol=1e-10,
         )
     np.testing.assert_array_equal(res_on.x, res_off.x)
     assert res_on.iterations == res_off.iterations
