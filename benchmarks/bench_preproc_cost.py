@@ -4,6 +4,10 @@ Paper values: 49 (Dunnington, 24 preprocessing threads) and 94
 (Gainestown, 16 threads) serial CSR SpM×V equivalents on average;
 59 / 115 on the RCM-reordered suite (whose serial SpM×V is faster, so
 the quotient grows).
+
+Next to the modeled equivalents the table prints the measured ones:
+the wall time of one ``build_format(..., "csx-sym", 16)`` on this host
+over the p50 of a serial CSR SpM×V of the same matrix.
 """
 
 import numpy as np
@@ -18,7 +22,7 @@ from common import (
     timed_repeat,
     write_result,
 )
-from repro.analysis import preprocessing_cost, render_table
+from repro.analysis import build_format, preprocessing_cost, render_table
 from repro.formats import CSRMatrix, SSSMatrix
 from repro.machine import DUNNINGTON, GAINESTOWN
 from repro.parallel import build_coloring_schedule, distance2_coloring
@@ -42,6 +46,32 @@ def compute_preproc():
                     [name, tag, platform.name, cost.csr_spmv_equivalents]
                 )
             averages[(tag, platform.name)] = float(np.mean(equivalents))
+    return rows, averages
+
+
+def compute_measured_preproc(p: int = 16):
+    """Measured CSX-Sym build time in serial CSR SpM×V units: the
+    median of three ``build_format`` calls over the CSR SpM×V p50."""
+    rows = []
+    averages = {}
+    rng = np.random.default_rng(5)
+    for tag, matrix_of in (
+        ("native", suite_matrix),
+        ("rcm", reordered_matrix),
+    ):
+        equivalents = []
+        for name in MATRIX_NAMES:
+            coo = matrix_of(name)
+            csr = CSRMatrix.from_coo(coo)
+            x = rng.standard_normal(coo.n_cols)
+            t_spmv = timed_repeat(lambda: csr.spmv(x), repeats=20)["p50_ms"]
+            t_build = timed_repeat(
+                lambda: build_format(coo, "csx-sym", p), repeats=3, warmup=0
+            )["p50_ms"]
+            units = t_build / max(t_spmv, 1e-9)
+            equivalents.append(units)
+            rows.append([name, tag, t_build / 1e3, t_spmv, units])
+        averages[tag] = float(np.mean(equivalents))
     return rows, averages
 
 
@@ -90,6 +120,7 @@ def test_preprocessing_cost(benchmark):
     rows, averages = benchmark.pedantic(
         compute_preproc, rounds=1, iterations=1
     )
+    measured_rows, measured = compute_measured_preproc()
     paper = {
         ("native", "Dunnington"): 49,
         ("native", "Gainestown"): 94,
@@ -103,13 +134,25 @@ def test_preprocessing_cost(benchmark):
     text = render_table(
         ["suite", "platform", "avg CSR-SpMV units", "paper"],
         summary,
-        title="§V-E — CSX-Sym preprocessing cost "
+        title="§V-E — CSX-Sym preprocessing cost, modeled "
               "(serial CSR SpM×V equivalents)",
+        floatfmt="{:.1f}",
+    ) + "\n\n" + render_table(
+        ["suite", "avg measured CSR-SpMV units"],
+        [[tag, avg] for tag, avg in measured.items()],
+        title="measured on the host running this benchmark",
         floatfmt="{:.1f}",
     ) + "\n\n" + render_table(
         ["matrix", "suite", "platform", "CSR-SpMV units"],
         rows,
         floatfmt="{:.1f}",
+    ) + "\n\n" + render_table(
+        ["matrix", "suite", "build s", "CSR SpM×V p50 ms",
+         "measured CSR-SpMV units"],
+        measured_rows,
+        title="measured: build_format(csx-sym, 16) wall time / serial "
+              "CSR SpM×V p50",
+        floatfmt="{:.3f}",
     )
     write_result("preproc_cost", text)
 

@@ -20,26 +20,30 @@ Section V-E.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .substructures import (
+    DELTA8,
+    DELTA16,
+    DELTA32,
     MAX_PATTERN_ID,
     MAX_UNIT_LEN,
     FIRST_DYNAMIC_ID,
     PatternKey,
     PatternType,
     Unit,
-    delta_pattern_for,
+    UnitArrays,
+    _ranges,
 )
-from .varint import varint_sizes
 
 __all__ = [
     "DetectionConfig",
     "DetectionReport",
     "PatternStats",
     "detect_and_encode",
+    "detect_units",
     "collect_pattern_stats",
 ]
 
@@ -221,72 +225,207 @@ def _stride_candidates(
 # ----------------------------------------------------------------------
 # Block scanning
 # ----------------------------------------------------------------------
+class _ElementIndex:
+    """The elements in row-major order with their grid neighbours:
+    coordinate lookup by sorted ``row * n_cols + col`` keys, and dense
+    block tests by walking neighbour links instead of searching."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_cols: int):
+        self.n_cols = n_cols
+        keys = rows * n_cols + cols
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
+        self.rows, self.cols = rows[self.order], cols[self.order]
+        # Row-major position of each position's neighbour to the right,
+        # left, below and above; the extra slot n stands for "none" and
+        # links to itself.
+        n = keys.size
+        pos = np.arange(n)
+        self.right = np.full(n + 1, n, dtype=np.int64)
+        self.left = self.right.copy()
+        self.below = self.right.copy()
+        self.above = self.right.copy()
+        across = (self.rows[1:] == self.rows[:-1]) & (
+            self.cols[1:] == self.cols[:-1] + 1
+        )
+        self.right[pos[:-1][across]] = pos[1:][across]
+        self.left[pos[1:][across]] = pos[:-1][across]
+        down = np.lexsort((self.rows, self.cols))
+        linked = (self.cols[down[1:]] == self.cols[down[:-1]]) & (
+            self.rows[down[1:]] == self.rows[down[:-1]] + 1
+        )
+        self.below[down[:-1][linked]] = down[1:][linked]
+        self.above[down[1:][linked]] = down[:-1][linked]
+
+    def find(self, qrows: np.ndarray, qcols: np.ndarray) -> np.ndarray:
+        """Element index of each query coordinate, ``-1`` where absent.
+
+        Columns must lie in ``[0, n_cols)`` for the key to be exact;
+        callers that cannot promise this compare the coordinates back.
+        """
+        q = qrows * self.n_cols + qcols
+        size = self.sorted_keys.size
+        if size == 0:
+            return np.full(q.shape, -1, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(self.sorted_keys, q), size - 1)
+        return np.where(self.sorted_keys[idx] == q, self.order[idx], -1)
+
+    def free_runs(self, consumed: Optional[np.ndarray]) -> np.ndarray:
+        """Per row-major position: how many free elements run rightwards
+        from it without a gap (0 when it is consumed; slot n is 0)."""
+        n = self.order.size
+        free = (
+            np.ones(n, dtype=bool) if consumed is None
+            else ~consumed[self.order]
+        )
+        pos = np.arange(n)
+        linked = (self.right[:-2] == pos[1:]) & free[:-1] & free[1:]
+        stop = np.append(np.where(linked, n, pos[:-1]), n - 1)
+        end = np.minimum.accumulate(stop[::-1])[::-1]
+        return np.append(np.where(free, end - pos + 1, 0), 0)
+
+
+#: Stop resolving greedy block selection in rounds once a round decides
+#: less than this fraction of the still-open anchors (long chains of
+#: overlapping anchors); the rest is swept row by row. Neither path is
+#: fast alone: rounds crawl along the long anchor chains of dense blocks
+#: (``nd12k``), and the per-row sweep is several times slower where many
+#: rows hold a few anchors each (``bmwcra_1``, ``ldoor``). Of the cutoffs
+#: tried from 0 to 1, 0.05 gave the least selection time on the suite.
+_ROUND_MIN_DECIDED = 0.05
+
+
+def _greedy_rounds(
+    index: _ElementIndex, anchors: np.ndarray, br: int, bc: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the greedy choice over row-major ``anchors`` (positions
+    in ``index``) in vectorized rounds.
+
+    An anchor is chosen once every earlier overlapping anchor is decided
+    and none of them was chosen; it is rejected as soon as one was.
+    Returns ``(chosen, open)``: the chosen mask, and the anchors still
+    undecided when the rounds stopped paying off. No open anchor
+    overlaps a chosen one (every chosen anchor's earlier neighbours are
+    decided, and open anchors with a chosen neighbour are rejected), so
+    the open anchors form an independent greedy problem of their own.
+    """
+    m = anchors.size
+    anchor_of = np.full(index.right.size, m, dtype=np.int64)  # m: none
+    anchor_of[anchors] = np.arange(m)
+    # The earlier anchors a block can overlap sit dr <= 0 rows and
+    # |dc| < bc columns away. Both blocks are dense, so each such anchor
+    # is reached by neighbour links through their cells: up the anchor's
+    # column then left (dc <= 0), or right then up (dc > 0).
+    up = [anchors]
+    for _ in range(br - 1):
+        up.append(index.above[up[-1]])
+    right = [anchors]
+    for _ in range(bc - 1):
+        right.append(index.right[right[-1]])
+    preds = []
+    for dr in range(br):
+        cell = up[dr]
+        for _ in range(1, bc):
+            cell = index.left[cell]
+            preds.append(cell)
+        if dr:
+            preds.append(up[dr])
+            for dc in range(1, bc):
+                cell = right[dc]
+                for _ in range(dr):
+                    cell = index.above[cell]
+                preds.append(cell)
+    pred = anchor_of[np.stack(preds, axis=1)]
+    # 0 open, 1 chosen, 2 rejected; the sentinel slot m reads "rejected".
+    status = np.zeros(m + 1, dtype=np.int8)
+    status[m] = 2
+    live = np.arange(m)
+    while live.size:
+        s = status[pred]
+        blocked = (s == 1).any(axis=1)
+        ready = ~blocked & (s != 0).all(axis=1)
+        status[live[blocked]] = 2
+        status[live[ready]] = 1
+        keep = ~(blocked | ready)
+        live, pred = live[keep], pred[keep]
+        if live.size and (
+            live.size > (1.0 - _ROUND_MIN_DECIDED) * keep.size
+        ):
+            blocked = (status[pred] == 1).any(axis=1)
+            status[live[blocked]] = 2
+            live, pred = live[~blocked], pred[~blocked]
+            break
+    return status[:m] == 1, live
+
+
+def _greedy_sweep(
+    ar: np.ndarray, ac: np.ndarray, br: int, bc: int
+) -> np.ndarray:
+    """Row sweep of the greedy choice over row-major anchors.
+
+    Rows are decided in order. An anchor is blocked by a chosen anchor
+    of the previous ``br - 1`` rows less than ``bc`` columns away; the
+    free anchors of a row then follow the 1-D greedy: take the leftmost
+    and jump to the first one at least ``bc`` columns further on.
+    """
+    chosen = np.zeros(ar.size, dtype=bool)
+    bounds = np.flatnonzero(np.diff(ar)) + 1
+    starts = np.concatenate(([0], bounds)).tolist()
+    ends = np.concatenate((bounds, [ar.size])).tolist()
+    recent: list[tuple[int, np.ndarray]] = []  # (row, chosen columns)
+    for s, e in zip(starts, ends):
+        r = int(ar[s])
+        recent = [(q, c) for q, c in recent if q > r - br]
+        cols = ac[s:e]
+        members = np.arange(s, e)
+        if recent:
+            taken = np.sort(np.concatenate([c for _, c in recent]))
+            idx = np.minimum(
+                np.searchsorted(taken, cols - (bc - 1)), taken.size - 1
+            )
+            ok = np.abs(taken[idx] - cols) >= bc
+            members, cols = members[ok], cols[ok]
+        nxt = np.searchsorted(cols, cols + bc).tolist()
+        pick = []
+        i = 0
+        while i < len(nxt):
+            pick.append(i)
+            i = nxt[i]
+        if pick:
+            chosen[members[pick]] = True
+            recent.append((r, cols[pick]))
+    return chosen
+
+
 def _block_candidates(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    n_cols: int,
+    index: _ElementIndex,
     shape: tuple[int, int],
     consumed: Optional[np.ndarray] = None,
-) -> list[tuple[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Anchors ``(r0, c0)`` of fully dense, non-overlapping ``r×c``
-    blocks, scanning greedily left-to-right / top-to-bottom.
+    blocks of free elements, chosen greedily in row-major anchor order
+    (each anchor is kept unless it overlaps an earlier kept one).
 
-    Works on a sorted key array so membership tests are
-    ``O(log nnz)`` each, fully vectorized across candidates.
+    Returns the anchor rows and columns in that order.
     """
     br, bc = shape
-    keys = rows.astype(np.int64) * n_cols + cols.astype(np.int64)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if consumed is not None:
-        free_sorted = ~consumed[order]
-    else:
-        free_sorted = np.ones(keys.size, dtype=bool)
-
-    def present(qkeys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(sorted_keys, qkeys)
-        ok = idx < sorted_keys.size
-        hit = np.zeros(qkeys.size, dtype=bool)
-        safe = np.where(ok, idx, 0)
-        hit[ok] = (sorted_keys[safe[ok]] == qkeys[ok]) & free_sorted[safe[ok]]
-        return hit
-
-    # Candidate anchors: every free element could be a block's top-left.
-    if consumed is not None:
-        anchor_mask = ~consumed
-    else:
-        anchor_mask = np.ones(rows.size, dtype=bool)
-    cand_r = rows[anchor_mask].astype(np.int64)
-    cand_c = cols[anchor_mask].astype(np.int64)
-    in_range = cand_c + bc <= n_cols
-    cand_r, cand_c = cand_r[in_range], cand_c[in_range]
-    if cand_r.size == 0:
-        return []
-
-    full = np.ones(cand_r.size, dtype=bool)
-    for dr in range(br):
-        for dc in range(bc):
-            if dr == 0 and dc == 0:
-                continue
-            q = (cand_r + dr) * n_cols + (cand_c + dc)
-            full &= present(q)
-            if not np.any(full):
-                return []
-    anchors_r = cand_r[full]
-    anchors_c = cand_c[full]
-
-    # Greedy non-overlap selection in (row, col) anchor order.
-    order2 = np.lexsort((anchors_c, anchors_r))
-    chosen: list[tuple[int, int]] = []
-    taken: set[tuple[int, int]] = set()
-    for i in order2:
-        r0, c0 = int(anchors_r[i]), int(anchors_c[i])
-        cells = [(r0 + dr, c0 + dc) for dr in range(br) for dc in range(bc)]
-        if any(cell in taken for cell in cells):
-            continue
-        taken.update(cells)
-        chosen.append((r0, c0))
-    return chosen
+    # A block is dense and free iff each of its br rows has a run of at
+    # least bc free elements starting in the anchor's column.
+    run = index.free_runs(consumed)
+    anchors = np.flatnonzero(run >= bc)
+    cell = anchors
+    for _ in range(br - 1):
+        cell = index.below[cell]
+        dense = run[cell] >= bc
+        anchors, cell = anchors[dense], cell[dense]
+    # Positions are row-major, so the anchors are in greedy order.
+    ar, ac = index.rows[anchors], index.cols[anchors]
+    if ar.size == 0:
+        return ar, ac
+    chosen, open_ = _greedy_rounds(index, anchors, br, bc)
+    if open_.size:
+        chosen[open_] = _greedy_sweep(ar[open_], ac[open_], br, bc)
+    return ar[chosen], ac[chosen]
 
 
 # ----------------------------------------------------------------------
@@ -309,24 +448,48 @@ def _sample_mask(
     return np.isin(window_of, picked)
 
 
-def collect_pattern_stats(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    n_cols: int,
-    config: DetectionConfig,
-    report: DetectionReport,
-) -> dict[PatternKey, PatternStats]:
-    """Scan (a sample of) the elements and tabulate per-instantiation
-    coverage. Populates and returns ``report.stats``."""
+@dataclass
+class _Scan:
+    """An element set prepared for scanning: the 1-D run orientations
+    and the coordinate index, built once and shared by the statistics
+    pass (when it sees every element) and the encoder."""
+
+    orientations: list[_Orientation]
+    index: _ElementIndex
+
+    @classmethod
+    def of(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        n_cols: int,
+        config: DetectionConfig,
+    ) -> "_Scan":
+        return cls(
+            _build_orientations(rows, cols, config),
+            _ElementIndex(rows, cols, n_cols),
+        )
+
+
+def _sample(
+    rows: np.ndarray, config: DetectionConfig, report: DetectionReport
+) -> np.ndarray:
+    """Sampled-element mask; records the sample size in ``report``."""
     n_rows_est = int(rows.max()) + 1 if rows.size else 0
     mask = _sample_mask(rows, n_rows_est, config)
-    s_rows, s_cols = rows[mask], cols[mask]
-    report.sampled_elements = int(s_rows.size)
+    report.sampled_elements = int(np.count_nonzero(mask))
     report.total_elements = int(rows.size)
-    stats: dict[PatternKey, PatternStats] = {}
+    return mask
 
-    for orient in _build_orientations(s_rows, s_cols, config):
-        report.elements_scanned += int(s_rows.size)
+
+def _tabulate(
+    scan: _Scan, config: DetectionConfig, report: DetectionReport
+) -> dict[PatternKey, PatternStats]:
+    """Per-instantiation coverage of the scanned elements."""
+    stats: dict[PatternKey, PatternStats] = {}
+    size = int(scan.index.order.size)
+    for orient in scan.orientations:
+        report.elements_scanned += size
         valid, diffs = _runs_in_ordering(orient.group, orient.pos)
         for stride in _stride_candidates(diffs, valid, config):
             links = valid & (diffs == stride)
@@ -342,19 +505,34 @@ def collect_pattern_stats(
 
     if config.enable_blocks:
         for shape in config.block_shapes:
-            report.elements_scanned += int(s_rows.size)
-            anchors = _block_candidates(s_rows, s_cols, n_cols, shape)
-            if not anchors:
+            report.elements_scanned += size
+            anchor_rows, _ = _block_candidates(scan.index, shape)
+            if not anchor_rows.size:
                 continue
             key = PatternKey(PatternType.BLOCK, shape)
             stats[key] = PatternStats(
                 key,
-                covered=len(anchors) * shape[0] * shape[1],
-                n_units=len(anchors),
+                covered=int(anchor_rows.size) * shape[0] * shape[1],
+                n_units=int(anchor_rows.size),
             )
 
     report.stats = stats
     return stats
+
+
+def collect_pattern_stats(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    n_cols: int,
+    config: DetectionConfig,
+    report: DetectionReport,
+) -> dict[PatternKey, PatternStats]:
+    """Scan (a sample of) the elements and tabulate per-instantiation
+    coverage. Populates and returns ``report.stats``."""
+    mask = _sample(rows, config, report)
+    return _tabulate(
+        _Scan.of(rows[mask], cols[mask], n_cols, config), config, report
+    )
 
 
 def select_patterns(
@@ -391,23 +569,24 @@ def select_patterns(
 # Greedy encoding
 # ----------------------------------------------------------------------
 def _encode_runs_for_pattern(
-    pattern: PatternKey,
+    stride: int,
     orient: _Orientation,
     consumed: np.ndarray,
     min_run_len: int,
-    units: list[Unit],
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> int:
+) -> tuple[np.ndarray, np.ndarray]:
     """Encode all maximal unconsumed runs of one 1-D instantiation.
 
-    Returns the number of elements consumed. Runs are recomputed against
-    the ``consumed`` mask so earlier (higher-gain) patterns win overlaps.
+    Runs are recomputed against the ``consumed`` mask so earlier
+    (higher-gain) patterns win overlaps, and split into units of at
+    most ``MAX_UNIT_LEN`` elements; a trailing piece shorter than
+    ``min_run_len`` is not worth a unit head and stays free. Marks the
+    encoded elements consumed and returns each unit's anchor element
+    and length.
     """
-    (stride,) = pattern.params
     group, pos, order = orient.group, orient.pos, orient.order
+    none = np.zeros(0, dtype=np.int64)
     if group.size < 2:
-        return 0
+        return none, none
     free = ~consumed[order]
     links = (
         (group[1:] == group[:-1])
@@ -416,75 +595,34 @@ def _encode_runs_for_pattern(
         & free[:-1]
     )
     starts, lengths = _extract_runs(links, min_run_len)
-    taken = 0
-    for start, length in zip(starts, lengths):
-        offset = 0
-        while offset < length:
-            chunk = min(int(length - offset), MAX_UNIT_LEN)
-            if chunk < min_run_len and offset > 0:
-                break  # tail too short to pay for a unit head
-            sel = order[start + offset : start + offset + chunk]
-            units.append(
-                Unit(
-                    pattern,
-                    row=int(rows[sel[0]]),
-                    col=int(cols[sel[0]]),
-                    length=chunk,
-                )
-            )
-            consumed[sel] = True
-            taken += chunk
-            offset += chunk
-    return taken
-
-
-def _encode_blocks_for_shape(
-    pattern: PatternKey,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    n_cols: int,
-    consumed: np.ndarray,
-    units: list[Unit],
-) -> int:
-    """Encode all unconsumed dense blocks of one shape."""
-    shape = pattern.params
-    anchors = _block_candidates(rows, cols, n_cols, shape, consumed=consumed)
-    if not anchors:
-        return 0
-    keys = rows.astype(np.int64) * n_cols + cols.astype(np.int64)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    br, bc = shape
-    taken = 0
-    for r0, c0 in anchors:
-        qr = r0 + np.repeat(np.arange(br, dtype=np.int64), bc)
-        qc = c0 + np.tile(np.arange(bc, dtype=np.int64), br)
-        idx = np.searchsorted(sorted_keys, qr * n_cols + qc)
-        sel = order[idx]
-        if np.any(consumed[sel]):
-            continue  # raced with an overlapping earlier block
-        units.append(
-            Unit(pattern, row=int(r0), col=int(c0), length=br * bc)
-        )
-        consumed[sel] = True
-        taken += br * bc
-    return taken
+    pieces = -(-lengths // MAX_UNIT_LEN)
+    last = lengths - MAX_UNIT_LEN * (pieces - 1)
+    if min_run_len > MAX_UNIT_LEN:
+        pieces = np.minimum(pieces, 1)
+    else:
+        pieces -= (pieces > 1) & (last < min_run_len)
+    run = np.repeat(np.arange(starts.size), pieces)
+    k = _ranges(np.zeros(pieces.size, dtype=np.int64), pieces)
+    first = starts[run] + MAX_UNIT_LEN * k
+    unit_len = np.minimum(MAX_UNIT_LEN, lengths[run] - MAX_UNIT_LEN * k)
+    consumed[order[_ranges(first, unit_len)]] = True
+    return order[first], unit_len
 
 
 def _encode_delta_leftovers(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    consumed: np.ndarray,
-    units: list[Unit],
-) -> int:
+    rows: np.ndarray, cols: np.ndarray, consumed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pack every unconsumed element into delta units (per row, grouped
-    by the narrowest byte width that fits the run's column gaps)."""
+    by the narrowest byte width that fits the run's column gaps).
+
+    Returns the free elements in row-major order and, per unit, its
+    first position in them, its length and its byte width.
+    """
     free_idx = np.flatnonzero(~consumed)
-    if free_idx.size == 0:
-        return 0
     fr = rows[free_idx]
     fc = cols[free_idx]
     order = np.lexsort((fc, fr))
+    elems = free_idx[order]
     fr, fc = fr[order], fc[order]
 
     # Width class of the gap *into* each element (first of a row: width 1,
@@ -500,28 +638,108 @@ def _encode_delta_leftovers(
 
     # Split points: new row, width change, or unit overflow.
     split = np.zeros(fr.size, dtype=bool)
-    split[0] = True
+    split[:1] = True
     if fr.size > 1:
         split[1:] = (fr[1:] != fr[:-1]) | (widths[1:] != widths[:-1])
-    unit_starts = np.flatnonzero(split)
-    unit_ends = np.append(unit_starts[1:], fr.size)
-    taken = 0
-    for s, e in zip(unit_starts, unit_ends):
-        for off in range(int(s), int(e), MAX_UNIT_LEN):
-            end = min(off + MAX_UNIT_LEN, int(e))
-            width = int(widths[off if off > int(s) else min(off + 1, end - 1)])
-            pattern = PatternKey(PatternType.DELTA, (width,))
-            units.append(
-                Unit(
-                    pattern,
-                    row=int(fr[off]),
-                    col=int(fc[off]),
-                    length=end - off,
-                    cols=fc[off:end].copy(),
+    seg_start = np.flatnonzero(split)
+    seg_len = np.diff(np.append(seg_start, fr.size))
+    pieces = -(-seg_len // MAX_UNIT_LEN)
+    seg = np.repeat(np.arange(seg_start.size), pieces)
+    k = _ranges(np.zeros(pieces.size, dtype=np.int64), pieces)
+    first = seg_start[seg] + MAX_UNIT_LEN * k
+    unit_len = np.minimum(MAX_UNIT_LEN, seg_len[seg] - MAX_UNIT_LEN * k)
+    # A segment's first unit takes the width of its second element's gap.
+    probe = np.where(
+        k > 0, first, np.minimum(first + 1, first + unit_len - 1)
+    )
+    return elems, first, unit_len, widths[probe]
+
+
+def detect_units(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    n_cols: int,
+    config: Optional[DetectionConfig] = None,
+) -> tuple[UnitArrays, DetectionReport]:
+    """Full CSX preprocessing on arrays: scan, select, and encode.
+
+    Elements must be unique coordinates. Returns the units sorted by
+    anchor (row-major) with values attached in execution order, plus
+    the :class:`DetectionReport`.
+    """
+    config = config or DetectionConfig()
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    report = DetectionReport(total_elements=int(rows.size))
+    if rows.size == 0:
+        return UnitArrays.empty(), report
+
+    scan = _Scan.of(rows, cols, n_cols, config)
+    mask = _sample(rows, config, report)
+    sample = (
+        scan if mask.all()
+        else _Scan.of(rows[mask], cols[mask], n_cols, config)
+    )
+    stats = _tabulate(sample, config, report)
+    selected = select_patterns(
+        stats, report.total_elements, report.sampled_elements, config
+    )
+    report.selected = selected
+
+    consumed = np.zeros(rows.size, dtype=bool)
+    orientations = {o.type: o for o in scan.orientations}
+    none = np.zeros(0, dtype=np.int64)
+    parts: list[UnitArrays] = []
+    for pattern in selected:
+        report.elements_scanned += int(rows.size)
+        if pattern.type is PatternType.BLOCK:
+            br, bc = pattern.params
+            ar, ac = _block_candidates(scan.index, pattern.params, consumed)
+            cells = scan.index.find(
+                ar[:, None] + np.repeat(np.arange(br), bc),
+                ac[:, None] + np.tile(np.arange(bc), br),
+            )
+            consumed[cells] = True
+            length = np.full(ar.size, br * bc, dtype=np.int64)
+        else:
+            anchor, length = _encode_runs_for_pattern(
+                pattern.params[0],
+                orientations[pattern.type],
+                consumed,
+                config.min_run_len,
+            )
+            ar, ac = rows[anchor], cols[anchor]
+        if length.size:
+            report.encoded_by_pattern[pattern] = int(length.sum())
+            parts.append(
+                UnitArrays(
+                    (pattern,), np.zeros(length.size), ar, ac, length, none
                 )
             )
-            taken += end - off
-    return taken
+
+    elems, first, length, width = _encode_delta_leftovers(
+        rows, cols, consumed
+    )
+    # Delta widths are reported in the order they first appear.
+    widths, first_seen = np.unique(width, return_index=True)
+    for w in widths[np.argsort(first_seen)].tolist():
+        key = PatternKey(PatternType.DELTA, (w,))
+        report.encoded_by_pattern[key] = int(length[width == w].sum())
+    parts.append(
+        UnitArrays(
+            (DELTA8, DELTA16, DELTA32),
+            np.searchsorted([1, 2, 4], width),
+            rows[elems[first]],
+            cols[elems[first]],
+            length,
+            cols[elems],
+        )
+    )
+    units = UnitArrays.concat(parts).sorted_by_anchor()
+    # Row-major anchor order, then attach values in execution order.
+    return _attach_values(units, rows, cols, vals, scan.index), report
 
 
 def detect_and_encode(
@@ -531,87 +749,26 @@ def detect_and_encode(
     n_cols: int,
     config: Optional[DetectionConfig] = None,
 ) -> tuple[list[Unit], DetectionReport]:
-    """Full CSX preprocessing: scan, select, and encode into units.
-
-    Elements must be unique coordinates. Returns the unit list sorted by
-    anchor (row-major) with per-unit values attached in execution order,
-    plus the :class:`DetectionReport`.
-    """
-    config = config or DetectionConfig()
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    report = DetectionReport(total_elements=int(rows.size))
-    if rows.size == 0:
-        return [], report
-
-    stats = collect_pattern_stats(rows, cols, n_cols, config, report)
-    selected = select_patterns(
-        stats, report.total_elements, report.sampled_elements, config
-    )
-    report.selected = selected
-
-    consumed = np.zeros(rows.size, dtype=bool)
-    units: list[Unit] = []
-    orientations = {
-        o.type: o for o in _build_orientations(rows, cols, config)
-    }
-    for pattern in selected:
-        report.elements_scanned += int(rows.size)
-        if pattern.type is PatternType.BLOCK:
-            n = _encode_blocks_for_shape(
-                pattern, rows, cols, n_cols, consumed, units
-            )
-        else:
-            n = _encode_runs_for_pattern(
-                pattern,
-                orientations[pattern.type],
-                consumed,
-                config.min_run_len,
-                units,
-                rows,
-                cols,
-            )
-        if n:
-            report.encoded_by_pattern[pattern] = n
-
-    n_delta = _encode_delta_leftovers(rows, cols, consumed, units)
-    if n_delta:
-        for u in units:
-            if u.pattern.is_delta:
-                key = u.pattern
-                report.encoded_by_pattern[key] = (
-                    report.encoded_by_pattern.get(key, 0) + u.length
-                )
-
-    # Row-major anchor order, then attach values in execution order.
-    units.sort(key=lambda u: (u.row, u.col, u.pattern))
-    _attach_values(units, rows, cols, vals, n_cols)
-    return units, report
+    """:func:`detect_units` returning a :class:`Unit` list (sorted by
+    anchor, values attached in execution order)."""
+    units, report = detect_units(rows, cols, vals, n_cols, config)
+    return units.to_units(), report
 
 
 def _attach_values(
-    units: Sequence[Unit],
+    units: UnitArrays,
     rows: np.ndarray,
     cols: np.ndarray,
     vals: np.ndarray,
-    n_cols: int,
-) -> None:
-    """Fill each unit's ``values`` by looking its coordinates up in the
+    index: _ElementIndex,
+) -> UnitArrays:
+    """Fill the units' ``values`` by looking their coordinates up in the
     element set (values are stored substructure-wise, Section IV-A)."""
-    from .substructures import unit_coordinates
-
-    keys = rows * n_cols + cols
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    for unit in units:
-        ur, uc = unit_coordinates(unit)
-        idx = np.searchsorted(sorted_keys, ur * n_cols + uc)
-        if np.any(idx >= sorted_keys.size):
-            raise ValueError("unit references a missing element")
-        sel = order[idx]
-        if not (
-            np.array_equal(rows[sel], ur) and np.array_equal(cols[sel], uc)
-        ):
-            raise ValueError("unit references a missing element")
-        unit.values = vals[sel].copy()
+    ur, uc = units.coordinates()
+    sel = index.find(ur, uc)
+    if np.any(sel < 0) or not (
+        np.array_equal(rows[sel], ur) and np.array_equal(cols[sel], uc)
+    ):
+        raise ValueError("unit references a missing element")
+    units.values = vals[sel]
+    return units

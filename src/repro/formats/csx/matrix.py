@@ -22,31 +22,76 @@ from .ctl import (
     encode_ctl,
     encode_pattern_table,
 )
-from .detect import DetectionConfig, DetectionReport, detect_and_encode
-from .plan import ExecutionPlan, compile_plan
-from .substructures import Unit
+from .detect import DetectionConfig, DetectionReport, detect_units
+from .plan import ExecutionPlan, compile_units
+from .substructures import Unit, UnitArrays
 
 __all__ = ["CSXPartition", "CSXMatrix"]
 
 
 @dataclass
 class CSXPartition:
-    """One thread's share of a CSX matrix."""
+    """One thread's share of a CSX matrix.
+
+    ``unit_arrays`` holds the units decoded from ``ctl`` (with values
+    attached), as struct-of-arrays in execution order.
+    """
 
     row_start: int
     row_end: int
-    units: list[Unit]
+    unit_arrays: UnitArrays
     ctl: bytes
     pattern_table_bytes: bytes
     plan: ExecutionPlan
     report: DetectionReport
 
     @property
+    def units(self) -> list[Unit]:
+        """The decoded units as :class:`Unit` objects, values attached.
+
+        Built afresh from ``unit_arrays`` on every access: a read-only
+        copy (edits to it do not reach the partition), costing O(units)
+        of Python. Use ``unit_arrays`` in loops.
+        """
+        return self.unit_arrays.to_units()
+
+    @property
     def n_elements(self) -> int:
-        return sum(u.length for u in self.units)
+        return self.unit_arrays.n_elements
 
     def ctl_bytes(self) -> int:
         return len(self.ctl) + len(self.pattern_table_bytes)
+
+
+def encode_partition(
+    units: UnitArrays,
+    report: DetectionReport,
+    row_start: int,
+    row_end: int,
+    n_rows: int,
+) -> CSXPartition:
+    """Encode a partition's units into ``ctl`` and compile its plan.
+
+    The build creates :class:`Unit` objects only here, at the codec
+    boundary (their constructor validates each one). Fidelity check:
+    the plan is compiled from the *decoded* stream so the bytes we
+    account for are the bytes we execute.
+    """
+    encoded = units.to_units()
+    table = build_pattern_table(encoded)
+    ctl = encode_ctl(encoded, table)
+    decoded = UnitArrays.from_units(
+        decode_ctl(ctl, {i: p for p, i in table.items()})
+    )
+    if decoded.n_units != units.n_units or not np.array_equal(
+        decoded.length, units.length
+    ):
+        raise AssertionError("ctl round-trip lost units")
+    decoded.values = units.values
+    return CSXPartition(
+        row_start, row_end, decoded, ctl, encode_pattern_table(table),
+        compile_units(decoded, n_rows), report,
+    )
 
 
 def _encode_partition(
@@ -61,23 +106,10 @@ def _encode_partition(
 ) -> CSXPartition:
     """Run the full CSX pipeline on one row slice."""
     mask = (rows >= row_start) & (rows < row_end)
-    units, report = detect_and_encode(
+    units, report = detect_units(
         rows[mask], cols[mask], vals[mask], n_cols, config
     )
-    table = build_pattern_table(units)
-    ctl = encode_ctl(units, table)
-    table_bytes = encode_pattern_table(table)
-    # Fidelity check: the plan is compiled from the *decoded* stream so
-    # the bytes we account for are the bytes we execute.
-    decoded = decode_ctl(ctl, {i: p for p, i in table.items()})
-    for u_enc, u_dec in zip(units, decoded):
-        u_dec.values = u_enc.values
-    if len(decoded) != len(units):
-        raise AssertionError("ctl round-trip lost units")
-    plan = compile_plan(decoded, n_rows)
-    return CSXPartition(
-        row_start, row_end, decoded, ctl, table_bytes, plan, report
-    )
+    return encode_partition(units, report, row_start, row_end, n_rows)
 
 
 class CSXMatrix(SparseFormat):

@@ -20,9 +20,9 @@ import numpy as np
 
 from ...obs.tracer import active as _active_tracer
 from ..base import RowScatter, bounded_cache_insert
-from .substructures import PatternKey, PatternType, Unit, unit_coordinates
+from .substructures import PatternKey, PatternType, Unit, UnitArrays
 
-__all__ = ["CompiledKernel", "ExecutionPlan", "compile_plan"]
+__all__ = ["CompiledKernel", "ExecutionPlan", "compile_plan", "compile_units"]
 
 #: Minimum cap on cached transposed local/direct splits per plan (the
 #: actual cap scales with the kernel count; oldest boundary evicted).
@@ -244,36 +244,43 @@ class ExecutionPlan:
         return rows, cols
 
 
+def compile_units(units: UnitArrays, n_rows: int) -> ExecutionPlan:
+    """Group units by ``(pattern, length)`` into :class:`CompiledKernel`
+    blocks, kernels in that order and units in execution order inside
+    each. The units must carry values."""
+    if units.values is None:
+        raise ValueError("cannot compile units without values")
+    if units.values.size != units.n_elements:
+        raise ValueError("unit values do not match unit lengths")
+    if units.n_units == 0:
+        return ExecutionPlan(n_rows, [])
+    rows, cols = units.coordinates()
+    starts = units.starts()
+    # Stable: units keep their execution order inside a group.
+    order = np.lexsort((units.length, units.code))
+    code, length = units.code[order], units.length[order]
+    bounds = np.flatnonzero((np.diff(code) != 0) | (np.diff(length) != 0))
+    kernels: list[CompiledKernel] = []
+    for lo, hi in zip(
+        np.concatenate(([0], bounds + 1)).tolist(),
+        np.concatenate((bounds + 1, [order.size])).tolist(),
+    ):
+        pattern = units.patterns[int(code[lo])]
+        n = int(length[lo])
+        elems = starts[order[lo:hi], None] + np.arange(n)
+        kernels.append(
+            CompiledKernel(
+                pattern, n, rows[elems], cols[elems], units.values[elems],
+                pattern.type in (PatternType.DELTA, PatternType.HORIZONTAL),
+            )
+        )
+    return ExecutionPlan(n_rows, kernels)
+
+
 def compile_plan(units: Sequence[Unit], n_rows: int) -> ExecutionPlan:
-    """Group decoded units into :class:`CompiledKernel` blocks.
+    """:func:`compile_units` for a :class:`Unit` list.
 
     Units must carry values (i.e. come from the encoder, or have values
     re-attached after a ctl decode).
     """
-    groups: dict[tuple[PatternKey, int], list[Unit]] = {}
-    for unit in units:
-        if unit.values is None:
-            raise ValueError("cannot compile units without values")
-        groups.setdefault((unit.pattern, unit.length), []).append(unit)
-
-    kernels: list[CompiledKernel] = []
-    for (pattern, length), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        g = len(members)
-        rows2d = np.empty((g, length), dtype=np.int64)
-        cols2d = np.empty((g, length), dtype=np.int64)
-        values = np.empty((g, length), dtype=np.float64)
-        for i, unit in enumerate(members):
-            ur, uc = unit_coordinates(unit)
-            rows2d[i] = ur
-            cols2d[i] = uc
-            values[i] = unit.values
-        row_uniform = pattern.type in (
-            PatternType.DELTA,
-            PatternType.HORIZONTAL,
-        )
-        kernels.append(
-            CompiledKernel(pattern, length, rows2d, cols2d, values, row_uniform)
-        )
-    return ExecutionPlan(n_rows, kernels)
+    return compile_units(UnitArrays.from_units(units), n_rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "PatternType",
     "PatternKey",
     "Unit",
+    "UnitArrays",
     "DELTA8",
     "DELTA16",
     "DELTA32",
@@ -126,7 +127,7 @@ class Unit:
                 raise ValueError("cols length mismatch")
             if self.cols[0] != self.col:
                 raise ValueError("first delta column must equal unit col")
-            if self.length > 1 and np.any(np.diff(self.cols) <= 0):
+            if self.length > 1 and (self.cols[1:] <= self.cols[:-1]).any():
                 raise ValueError("delta columns must be strictly increasing")
         elif self.pattern.type is PatternType.BLOCK:
             r, c = self.pattern.params
@@ -136,37 +137,210 @@ class Unit:
                 )
 
 
+#: (row, column) direction of each 1-D run pattern; the stride scales it.
+_RUN_DIRECTIONS = {
+    PatternType.HORIZONTAL: (0, 1),
+    PatternType.VERTICAL: (1, 0),
+    PatternType.DIAGONAL: (1, 1),
+    PatternType.ANTI_DIAGONAL: (1, -1),
+}
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for every ``(s, n)`` pair."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(
+        offsets - starts, lengths
+    )
+
+
+@dataclass
+class UnitArrays:
+    """A unit list as struct-of-arrays, in execution (``ctl``) order.
+
+    The build pipeline — detection, legalization, value attachment and
+    plan compilation — works on this form; :class:`Unit` objects only
+    appear at the ``ctl`` codec boundary and in the Unit-list adapters.
+
+    Per unit: ``code`` (an index into the ascending ``patterns``), the
+    anchor ``row`` / ``col`` and ``length``. ``delta_cols`` concatenates
+    the explicit columns of the delta units, in unit order; ``values``
+    (``None`` before value attachment) concatenates every unit's values
+    in execution order.
+    """
+
+    patterns: tuple
+    code: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    length: np.ndarray
+    delta_cols: np.ndarray
+    values: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        # Keep ``patterns`` sorted and unique so that code order is
+        # PatternKey order (the ctl sort key) and grouping is by code.
+        patterns = sorted(set(self.patterns))
+        code = np.asarray(self.code, dtype=np.int64)
+        if tuple(self.patterns) != tuple(patterns):
+            remap = np.array(
+                [patterns.index(p) for p in self.patterns], dtype=np.int64
+            )
+            code = remap[code] if code.size else code
+        self.patterns = tuple(patterns)
+        self.code = code
+        self.row = np.asarray(self.row, dtype=np.int64)
+        self.col = np.asarray(self.col, dtype=np.int64)
+        self.length = np.asarray(self.length, dtype=np.int64)
+        self.delta_cols = np.asarray(self.delta_cols, dtype=np.int64)
+
+    @classmethod
+    def empty(cls) -> "UnitArrays":
+        z = np.zeros(0, dtype=np.int64)
+        return cls((), z, z, z, z, z, np.zeros(0))
+
+    @classmethod
+    def from_units(cls, units: Sequence[Unit]) -> "UnitArrays":
+        """Pack a :class:`Unit` list (values all present or all absent)."""
+        if not units:
+            return cls.empty()
+        patterns = sorted({u.pattern for u in units})
+        index = {p: i for i, p in enumerate(patterns)}
+        code = np.fromiter(
+            (index[u.pattern] for u in units), np.int64, len(units)
+        )
+        row = np.fromiter((u.row for u in units), np.int64, len(units))
+        col = np.fromiter((u.col for u in units), np.int64, len(units))
+        length = np.fromiter((u.length for u in units), np.int64, len(units))
+        dcols = [u.cols for u in units if u.pattern.is_delta]
+        values = None
+        if all(u.values is not None for u in units):
+            values = np.concatenate([u.values for u in units]).astype(
+                np.float64, copy=False
+            )
+        return cls(
+            tuple(patterns), code, row, col, length,
+            np.concatenate(dcols) if dcols else np.zeros(0, np.int64),
+            values,
+        )
+
+    @property
+    def n_units(self) -> int:
+        return int(self.code.size)
+
+    @property
+    def n_elements(self) -> int:
+        return int(self.length.sum())
+
+    def unit_is_delta(self) -> np.ndarray:
+        """Boolean per unit: a delta (not a substructure) unit."""
+        flags = np.array([p.is_delta for p in self.patterns], dtype=bool)
+        return flags[self.code] if self.code.size else np.zeros(0, bool)
+
+    def starts(self) -> np.ndarray:
+        """Offset of each unit's first element in execution order."""
+        return np.cumsum(self.length) - self.length
+
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every element's ``(row, col)`` in execution order: row-major
+        inside blocks, run order for everything else."""
+        n = self.n_elements
+        if n == 0:
+            z = np.zeros(0, dtype=np.int64)
+            return z, z.copy()
+        # Per-pattern steps: 1-D runs move (rstep, cstep) per element;
+        # blocks of c columns wrap every c elements; deltas stay put.
+        rstep = np.zeros(len(self.patterns), dtype=np.int64)
+        cstep = np.zeros(len(self.patterns), dtype=np.int64)
+        bcols = np.zeros(len(self.patterns), dtype=np.int64)
+        for i, p in enumerate(self.patterns):
+            if p.type is PatternType.BLOCK:
+                bcols[i] = p.params[1]
+            elif p.type in _RUN_DIRECTIONS:
+                dr, dc = _RUN_DIRECTIONS[p.type]
+                rstep[i], cstep[i] = dr * p.params[0], dc * p.params[0]
+        ecode = np.repeat(self.code, self.length)
+        k = np.arange(n, dtype=np.int64) - np.repeat(
+            self.starts(), self.length
+        )
+        rows = np.repeat(self.row, self.length) + rstep[ecode] * k
+        cols = np.repeat(self.col, self.length) + cstep[ecode] * k
+        if bcols.any():
+            eb = bcols[ecode]
+            blk = np.flatnonzero(eb)
+            rows[blk] += k[blk] // eb[blk]
+            cols[blk] += k[blk] % eb[blk]
+        if self.delta_cols.size:
+            cols[np.repeat(self.unit_is_delta(), self.length)] = (
+                self.delta_cols
+            )
+        return rows, cols
+
+    def take(self, units: np.ndarray) -> "UnitArrays":
+        """The units at indices ``units`` (in that order)."""
+        units = np.asarray(units, dtype=np.int64)
+        length = self.length[units]
+        values = None
+        if self.values is not None:
+            values = self.values[_ranges(self.starts()[units], length)]
+        is_delta = self.unit_is_delta()
+        dlen = np.where(is_delta, self.length, 0)
+        dstart = np.cumsum(dlen) - dlen
+        delta_cols = self.delta_cols[_ranges(dstart[units], dlen[units])]
+        return UnitArrays(
+            self.patterns, self.code[units], self.row[units],
+            self.col[units], length, delta_cols, values,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["UnitArrays"]) -> "UnitArrays":
+        """Concatenate unit lists (patterns are merged, order is kept)."""
+        offsets = np.cumsum([0] + [len(a.patterns) for a in parts])
+        values = None
+        if all(a.values is not None for a in parts):
+            values = np.concatenate([a.values for a in parts])
+        return cls(
+            tuple(p for a in parts for p in a.patterns),
+            np.concatenate([a.code + o for a, o in zip(parts, offsets)]),
+            np.concatenate([a.row for a in parts]),
+            np.concatenate([a.col for a in parts]),
+            np.concatenate([a.length for a in parts]),
+            np.concatenate([a.delta_cols for a in parts]),
+            values,
+        )
+
+    def sorted_by_anchor(self) -> "UnitArrays":
+        """Units in ``ctl`` order: by anchor row, column, then pattern."""
+        return self.take(np.lexsort((self.code, self.col, self.row)))
+
+    def to_units(self) -> list[Unit]:
+        """Materialize :class:`Unit` objects (validated on creation)."""
+        units: list[Unit] = []
+        start = dstart = 0
+        for c, r, col, n, delta in zip(
+            self.code.tolist(), self.row.tolist(), self.col.tolist(),
+            self.length.tolist(), self.unit_is_delta().tolist(),
+        ):
+            cols = None
+            if delta:
+                cols = self.delta_cols[dstart : dstart + n]
+                dstart += n
+            vals = None
+            if self.values is not None:
+                vals = self.values[start : start + n]
+            start += n
+            units.append(Unit(self.patterns[c], r, col, n, cols, vals))
+        return units
+
+
 def unit_coordinates(unit: Unit) -> tuple[np.ndarray, np.ndarray]:
     """Expand a unit into its element coordinates ``(rows, cols)``.
 
     Coordinates are produced in the unit's canonical (execution) order:
     row-major for blocks, run order for everything else.
     """
-    t = unit.pattern.type
-    k = np.arange(unit.length, dtype=np.int64)
-    if t is PatternType.DELTA:
-        rows = np.full(unit.length, unit.row, dtype=np.int64)
-        return rows, unit.cols.copy()
-    if t is PatternType.HORIZONTAL:
-        (d,) = unit.pattern.params
-        rows = np.full(unit.length, unit.row, dtype=np.int64)
-        return rows, unit.col + d * k
-    if t is PatternType.VERTICAL:
-        (d,) = unit.pattern.params
-        cols = np.full(unit.length, unit.col, dtype=np.int64)
-        return unit.row + d * k, cols
-    if t is PatternType.DIAGONAL:
-        (d,) = unit.pattern.params
-        return unit.row + d * k, unit.col + d * k
-    if t is PatternType.ANTI_DIAGONAL:
-        (d,) = unit.pattern.params
-        return unit.row + d * k, unit.col - d * k
-    if t is PatternType.BLOCK:
-        r, c = unit.pattern.params
-        rows = unit.row + np.repeat(np.arange(r, dtype=np.int64), c)
-        cols = unit.col + np.tile(np.arange(c, dtype=np.int64), r)
-        return rows, cols
-    raise AssertionError(f"unhandled pattern type {t!r}")
+    return UnitArrays.from_units([unit]).coordinates()
 
 
 def unit_column_span(unit: Unit) -> tuple[int, int]:

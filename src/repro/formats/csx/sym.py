@@ -18,76 +18,77 @@ import numpy as np
 from ..base import VALUE_BYTES, SymmetricFormat
 from ..coo import COOMatrix
 from ..validate import SymmetryError
-from .ctl import build_pattern_table, decode_ctl, encode_ctl, encode_pattern_table
-from .detect import DetectionConfig, DetectionReport, detect_and_encode
-from .matrix import CSXPartition
-from .plan import compile_plan
+from .detect import DetectionConfig, DetectionReport, detect_units
+from .matrix import CSXPartition, encode_partition
 from .substructures import (
-    PatternType,
     Unit,
+    UnitArrays,
     delta_pattern_for,
-    unit_column_span,
-    unit_coordinates,
 )
 
-__all__ = ["CSXSymMatrix", "legalize_units"]
+__all__ = ["CSXSymMatrix", "legalize", "legalize_units"]
 
 
-def _unit_to_delta_units(unit: Unit) -> list[Unit]:
-    """Break a substructure unit into per-row delta units.
+def legalize(units: UnitArrays, boundary: int) -> tuple[UnitArrays, int]:
+    """Apply the CSX-Sym legality filter for a partition starting at
+    ``boundary``.
 
-    Used for substructures rejected by the legality filter; their
-    elements are stored as generic delta units instead.
+    A substructure is legal iff all its columns are on one side of
+    ``boundary`` (all-local or all-direct transposed writes). Rejected
+    substructures are broken into per-row delta units, stored as
+    generic delta units instead. Returns the legalized units re-sorted
+    into ``ctl`` order and the number of rejected substructure units.
     """
-    rows, cols = unit_coordinates(unit)
-    out: list[Unit] = []
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    values = unit.values[order] if unit.values is not None else None
-    start = 0
-    for i in range(1, rows.size + 1):
-        if i == rows.size or rows[i] != rows[start]:
-            ucols = cols[start:i]
-            gaps_max = int(np.diff(ucols).max()) if i - start > 1 else 0
-            u = Unit(
-                delta_pattern_for(gaps_max),
-                row=int(rows[start]),
-                col=int(ucols[0]),
-                length=i - start,
-                cols=ucols.copy(),
+    if units.n_units == 0:
+        return units, 0
+    rows, cols = units.coordinates()
+    starts = units.starts()
+    straddles = (
+        ~units.unit_is_delta()
+        & (np.minimum.reduceat(cols, starts) < boundary)
+        & (boundary <= np.maximum.reduceat(cols, starts))
+    )
+    rejected = int(np.count_nonzero(straddles))
+    parts = [units.take(np.flatnonzero(~straddles))]
+    if rejected:
+        elems = np.repeat(straddles, units.length)
+        unit = np.repeat(np.arange(units.n_units), units.length)[elems]
+        rows, cols = rows[elems], cols[elems]
+        order = np.lexsort((cols, rows, unit))
+        unit, rows, cols = unit[order], rows[order], cols[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (unit[1:] != unit[:-1]) | (rows[1:] != rows[:-1])
+        seg = np.flatnonzero(first)
+        gaps = np.diff(cols, prepend=0)
+        gaps[seg] = 0
+        widest, code = np.unique(
+            np.maximum.reduceat(gaps, seg), return_inverse=True
+        )
+        parts.append(
+            UnitArrays(
+                tuple(delta_pattern_for(int(g)) for g in widest),
+                code,
+                rows[seg],
+                cols[seg],
+                np.diff(np.append(seg, rows.size)),
+                cols,
+                None if units.values is None
+                else units.values[elems][order],
             )
-            if values is not None:
-                u.values = values[start:i].copy()
-            out.append(u)
-            start = i
-    return out
+        )
+    return UnitArrays.concat(parts).sorted_by_anchor(), rejected
 
 
 def legalize_units(
     units: Sequence[Unit], boundary: int
 ) -> tuple[list[Unit], int]:
-    """Apply the CSX-Sym legality filter for a partition starting at
-    ``boundary``.
-
-    A substructure is legal iff all its columns are on one side of
-    ``boundary`` (all-local or all-direct transposed writes). Returns
-    the legalized (re-sorted) unit list and the number of rejected
-    substructure units.
-    """
-    out: list[Unit] = []
-    rejected = 0
-    for unit in units:
-        if unit.pattern.is_delta:
-            out.append(unit)
-            continue
-        cmin, cmax = unit_column_span(unit)
-        if cmin < boundary <= cmax:
-            out.extend(_unit_to_delta_units(unit))
-            rejected += 1
-        else:
-            out.append(unit)
-    out.sort(key=lambda u: (u.row, u.col, u.pattern))
-    return out, rejected
+    """:func:`legalize` for a :class:`Unit` list. Legal units come back
+    as the same objects."""
+    out, rejected = legalize(UnitArrays.from_units(units), boundary)
+    kept = {(u.row, u.col, u.pattern): u for u in units}
+    return [
+        kept.get((u.row, u.col, u.pattern), u) for u in out.to_units()
+    ], rejected
 
 
 class CSXSymMatrix(SymmetricFormat):
@@ -137,24 +138,15 @@ class CSXSymMatrix(SymmetricFormat):
         self.rejected_units = 0
         for start, end in self._partition_bounds:
             mask = (rows >= start) & (rows < end)
-            units, report = detect_and_encode(
+            units, report = detect_units(
                 rows[mask], cols[mask], lower.vals[mask], self.n_cols,
                 self.config,
             )
             if self.legality_filter:
-                units, nrej = legalize_units(units, start)
+                units, nrej = legalize(units, start)
                 self.rejected_units += nrej
-            table = build_pattern_table(units)
-            ctl = encode_ctl(units, table)
-            decoded = decode_ctl(ctl, {i: p for p, i in table.items()})
-            for u_enc, u_dec in zip(units, decoded):
-                u_dec.values = u_enc.values
-            plan = compile_plan(decoded, self.n_rows)
             self.partitions.append(
-                CSXPartition(
-                    start, end, decoded, ctl,
-                    encode_pattern_table(table), plan, report,
-                )
+                encode_partition(units, report, start, end, self.n_rows)
             )
         self._nnz_lower = int(lower.nnz)
         total = sum(p.n_elements for p in self.partitions)
@@ -374,9 +366,8 @@ class CSXSymMatrix(SymmetricFormat):
         """Fraction of stored lower elements inside non-delta units."""
         if self._nnz_lower == 0:
             return 0.0
-        covered = 0
-        for p in self.partitions:
-            for u in p.units:
-                if not u.pattern.is_delta:
-                    covered += u.length
+        covered = sum(
+            int(p.unit_arrays.length[~p.unit_arrays.unit_is_delta()].sum())
+            for p in self.partitions
+        )
         return covered / self._nnz_lower

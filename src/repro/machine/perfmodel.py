@@ -128,18 +128,24 @@ def _sss_thread_work(
     )
 
 
+def _csx_unit_counts(p) -> tuple[int, int, int]:
+    """``(substructure elements, delta elements, units)`` of a partition."""
+    units = p.unit_arrays
+    delta = int(units.length[units.unit_is_delta()].sum())
+    return units.n_elements - delta, delta, units.n_units
+
+
 def _csx_partition_work(
     m: CSXMatrix, index: int, cost: CostModel
 ) -> _ThreadWork:
     p = m.partitions[index]
     rows = p.row_end - p.row_start
-    sub_elems = sum(u.length for u in p.units if not u.pattern.is_delta)
-    delta_elems = sum(u.length for u in p.units if u.pattern.is_delta)
-    col_stream = _units_column_stream(p.units)
+    sub_elems, delta_elems, n_units = _csx_unit_counts(p)
+    col_stream = _units_column_stream(p.unit_arrays)
     return _ThreadWork(
         cycles=cost.csx_cycles_per_sub_elem * sub_elems
         + cost.csx_cycles_per_delta_elem * delta_elems
-        + cost.csx_cycles_per_unit * len(p.units),
+        + cost.csx_cycles_per_unit * n_units,
         matrix_bytes=VALUE_BYTES * (sub_elems + delta_elems) + p.ctl_bytes(),
         y_bytes=VALUE_BYTES * rows,
         col_stream=col_stream,
@@ -153,14 +159,13 @@ def _csx_sym_partition_work(
 ) -> _ThreadWork:
     p = m.partitions[index]
     rows = p.row_end - p.row_start
-    sub_elems = sum(u.length for u in p.units if not u.pattern.is_delta)
-    delta_elems = sum(u.length for u in p.units if u.pattern.is_delta)
+    sub_elems, delta_elems, n_units = _csx_unit_counts(p)
     elems = sub_elems + delta_elems
-    col_stream = _units_column_stream(p.units)
+    col_stream = _units_column_stream(p.unit_arrays)
     return _ThreadWork(
         cycles=cost.csx_cycles_per_sub_elem * sub_elems
         + cost.csx_cycles_per_delta_elem * delta_elems
-        + cost.csx_cycles_per_unit * len(p.units)
+        + cost.csx_cycles_per_unit * n_units
         + cost.csx_sym_extra_cycles_per_elem * elems
         + cost.sss_cycles_per_diag * rows,
         matrix_bytes=VALUE_BYTES * elems
@@ -175,11 +180,7 @@ def _csx_sym_partition_work(
 
 def _units_column_stream(units) -> np.ndarray:
     """Concatenated x-access columns in unit execution order."""
-    from ..formats.csx.substructures import unit_coordinates
-
-    if not units:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([unit_coordinates(u)[1] for u in units])
+    return units.coordinates()[1]
 
 
 def _thread_work(
