@@ -23,7 +23,7 @@ from .ctl import (
     encode_pattern_table,
 )
 from .detect import DetectionConfig, DetectionReport, detect_units
-from .plan import ExecutionPlan, compile_units
+from .plan import ExecutionPlan, compile_units, plan_triples
 from .substructures import Unit, UnitArrays
 
 __all__ = ["CSXPartition", "CSXMatrix"]
@@ -202,8 +202,8 @@ class CSXMatrix(SparseFormat):
         return y
 
     def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Multi-RHS product through the compiled plans: each ctl-derived
-        kernel is traversed once for all ``k`` columns."""
+        """Multi-RHS product through the compiled plans: each partition's
+        CSR is traversed once for all ``k`` columns."""
         X, Y = self._check_spmm_args(X, Y)
         for p in self.partitions:
             p.plan.execute(X, Y)
@@ -224,35 +224,10 @@ class CSXMatrix(SparseFormat):
         """Multi-RHS analogue of :meth:`spmv_partition_only`."""
         self.partitions[part_index].plan.execute(X, Y)
 
-    def precompile(self, k: Optional[int] = None) -> None:
-        """Eagerly compile every partition plan's row scatters (and
-        ``k``-RHS flat indices) ahead of the first execution."""
-        for p in self.partitions:
-            p.plan.precompile(k=k)
-
-    def clear_caches(self) -> None:
-        """Release every partition plan's lazy scatter compilations."""
-        for p in self.partitions:
-            p.plan.clear_caches()
-
     def to_coo(self) -> COOMatrix:
-        rows_list = []
-        cols_list = []
-        vals_list = []
-        for p in self.partitions:
-            r, c = p.plan.element_coordinates()
-            rows_list.append(r)
-            cols_list.append(c)
-            vals_list.append(
-                np.concatenate([k.values.ravel() for k in p.plan.kernels])
-                if p.plan.kernels
-                else np.zeros(0)
-            )
         return COOMatrix(
             self.shape,
-            np.concatenate(rows_list) if rows_list else np.zeros(0),
-            np.concatenate(cols_list) if cols_list else np.zeros(0),
-            np.concatenate(vals_list) if vals_list else np.zeros(0),
+            *plan_triples([p.plan for p in self.partitions]),
             sum_duplicates=False,
         )
 

@@ -20,6 +20,7 @@ from ..coo import COOMatrix
 from ..validate import SymmetryError
 from .detect import DetectionConfig, DetectionReport, detect_units
 from .matrix import CSXPartition, encode_partition
+from .plan import plan_triples
 from .substructures import (
     Unit,
     UnitArrays,
@@ -207,7 +208,7 @@ class CSXSymMatrix(SymmetricFormat):
 
     def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
         """Multi-RHS symmetric product through the compiled plans (one
-        traversal of each kernel for all ``k`` columns)."""
+        traversal of each partition plan for all ``k`` columns)."""
         X, Y = self._check_spmm_args(X, Y)
         Y += self.dvalues[:, None] * X
         dummy_local = np.zeros((0, X.shape[1]), dtype=np.float64)
@@ -264,34 +265,21 @@ class CSXSymMatrix(SymmetricFormat):
         p.plan.execute_transposed_split(X, Y_direct, Y_local, row_start)
 
     def to_coo(self) -> COOMatrix:
-        rows_list, cols_list, vals_list = [], [], []
-        for p in self.partitions:
-            r, c = p.plan.element_coordinates()
-            v = (
-                np.concatenate([k.values.ravel() for k in p.plan.kernels])
-                if p.plan.kernels
-                else np.zeros(0)
-            )
-            rows_list += [r, c]
-            cols_list += [c, r]
-            vals_list += [v, v]
+        r, c, v = plan_triples([p.plan for p in self.partitions])
         diag_rows = np.flatnonzero(self.dvalues).astype(np.int64)
-        rows_list.append(diag_rows)
-        cols_list.append(diag_rows)
-        vals_list.append(self.dvalues[diag_rows])
         return COOMatrix(
             self.shape,
-            np.concatenate(rows_list),
-            np.concatenate(cols_list),
-            np.concatenate(vals_list),
+            np.concatenate([r, c, diag_rows]),
+            np.concatenate([c, r, diag_rows]),
+            np.concatenate([v, v, self.dvalues[diag_rows]]),
             sum_duplicates=False,
         )
 
     def lower_triple(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Lower-triangle CSR reconstructed from the partition plans'
-        element coordinates (cached — the structure is immutable).
+        """Lower-triangle CSR with ascending columns in each row, read
+        from the partition plans (cached — the structure is immutable).
 
         The coloring scheduler consumes this; the encoded units
         themselves stay untouched, so CSX-Sym keeps its compressed
@@ -301,49 +289,17 @@ class CSXSymMatrix(SymmetricFormat):
         cached = getattr(self, "_lower_triple_cache", None)
         if cached is not None:
             return cached
-        rows_list, cols_list, vals_list = [], [], []
-        for p in self.partitions:
-            r, c = p.plan.element_coordinates()
-            v = (
-                np.concatenate([k.values.ravel() for k in p.plan.kernels])
-                if p.plan.kernels
-                else np.zeros(0)
-            )
-            rows_list.append(np.asarray(r, dtype=np.int64))
-            cols_list.append(np.asarray(c, dtype=np.int64))
-            vals_list.append(np.asarray(v, dtype=np.float64))
-        rows = np.concatenate(rows_list) if rows_list else np.zeros(0, np.int64)
-        cols = np.concatenate(cols_list) if cols_list else np.zeros(0, np.int64)
-        vals = np.concatenate(vals_list) if vals_list else np.zeros(0)
+        rows, cols, vals = plan_triples([p.plan for p in self.partitions])
         order = np.lexsort((cols, rows))
-        counts = np.bincount(rows, minlength=self.n_rows)
         rowptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=rowptr[1:])
+        np.cumsum(np.bincount(rows, minlength=self.n_rows), out=rowptr[1:])
         cached = (self.dvalues, rowptr, cols[order], vals[order])
         self._lower_triple_cache = cached
         return cached
 
-    def precompile_partition(
-        self, row_start: int, row_end: int, k: Optional[int] = None
-    ) -> None:
-        """Eagerly compile the partition plan's scatters and its
-        transposed split at the partition boundary (plus ``k``-RHS flat
-        indices), so a bound operator's first iteration is not a
-        compilation run."""
-        try:
-            i = self._part_index[(row_start, row_end)]
-        except KeyError:
-            raise ValueError(
-                f"({row_start}, {row_end}) is not a preprocessed partition; "
-                f"available: {self._partition_bounds}"
-            ) from None
-        self.partitions[i].plan.precompile(k=k, boundary=row_start)
-
     def clear_caches(self) -> None:
-        """Release every partition plan's lazy scatter compilations."""
+        """Release the cached :meth:`lower_triple`."""
         self._lower_triple_cache = None
-        for p in self.partitions:
-            p.plan.clear_caches()
 
     # ------------------------------------------------------------------
     # Partition structure queries
@@ -355,9 +311,9 @@ class CSXSymMatrix(SymmetricFormat):
     def partition_conflict_rows(self, row_start: int, row_end: int) -> np.ndarray:
         """Unique output rows before ``row_start`` that the partition's
         transposed writes touch (= non-zeros of its local vector)."""
-        i = self._part_index[(row_start, row_end)]
-        _, cols = self.partitions[i].plan.element_coordinates()
-        return np.unique(cols[cols < row_start]).astype(np.int64)
+        plan = self.partitions[self._part_index[(row_start, row_end)]].plan
+        cols = np.unique(plan.indices) + np.int64(plan.col_lo)
+        return cols[cols < row_start]
 
     def detection_reports(self) -> list[DetectionReport]:
         return [p.report for p in self.partitions]

@@ -39,6 +39,7 @@ the parent perturbs dispatch order from the same plan.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import threading
@@ -158,6 +159,12 @@ def _build_tasks(spec: WorkerSpec, ws: "_shm.SharedArena", x, y) -> list:
 def _worker_main(conn, spec: WorkerSpec) -> None:
     """Worker entry point: attach arenas once, then serve batches until
     "stop" or EOF (parent death)."""
+    # What a forked worker inherits is never garbage here. Freezing it
+    # keeps every collection below from scanning, and copy-on-write
+    # faulting, the parent's whole heap: fork, collect and exit took
+    # 46 ms unfrozen vs 4 ms frozen with scipy.sparse loaded (24 ms
+    # unfrozen without it) on a 2-core x86-64 host.
+    gc.freeze()
     pid = os.getpid()
     data = ws = None
     tasks = x = y = None
@@ -229,8 +236,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         # and collect first, so detaching does not leave an exported-
         # pointer mmap for the interpreter-exit __del__ to trip over.
         tasks = x = y = None
-        import gc
-
         gc.collect()
         for arena in (data, ws):
             if arena is not None:

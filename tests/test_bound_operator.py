@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.formats.base import FLAT_CACHE_MAX, RowScatter
-from repro.formats.csx.matrix import CSXMatrix
 from repro.obs import reset_warning_counts, warning_counts
 from repro.parallel import (
     BoundSpMV,
@@ -221,26 +220,6 @@ def test_row_scatter_flat_cache_bounded():
     assert y[3, 0] == 2.0 and y[5, 1] == 1.0 and y[9, 0] == 1.0
     sc.clear()
     assert not sc._flat
-
-
-def test_tsplit_cache_bounded():
-    from repro.matrices.generators import grid_laplacian_2d
-
-    coo = grid_laplacian_2d(10, 10)  # n = 100 > the cache cap
-    matrix = CSXMatrix(coo)
-    plan = matrix.partitions[0].plan
-    n = matrix.n_rows
-    x = rhs_block(n, None)
-    expected = coo.to_dense().T @ x
-    # Hammer the transposed-split path with more distinct boundaries
-    # than the cache may hold; eviction must not affect results.
-    for boundary in range(n):
-        y_direct = np.zeros(n)
-        y_local = np.zeros(n)
-        plan.execute_transposed_split(x, y_direct, y_local, boundary)
-        assert np.allclose(y_direct + y_local, expected)
-    assert n > plan._tsplit_cache_max
-    assert len(plan._tsplit_cache) <= plan._tsplit_cache_max
 
 
 # ---------------------------------------------------------------------

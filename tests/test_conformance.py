@@ -12,6 +12,8 @@ same seeded battery of edge-case matrices against the dense reference:
 import numpy as np
 import pytest
 
+from repro.analysis.configs import build_format as build_configured
+from repro.matrices.suite import SUITE, get_entry
 from repro.parallel import ParallelSpMV, ParallelSymmetricSpMV, live_segments
 
 from tests.conformance import (
@@ -265,20 +267,42 @@ def test_symmetric_backend_spmm_bit_identical(fmt, method, backend):
 
 def test_csx_sym_spmm_columns_bit_identical_to_spmv():
     """Column j of a multi-RHS apply equals the SpM×V of ``X[:, j]``
-    bit for bit, also for row-uniform CSX units of >= 8 elements, whose
-    sums numpy runs pairwise (the order a strided-axis sum would not
-    reproduce)."""
-    from repro.analysis.configs import build_format as build_configured
-    from repro.matrices.suite import get_entry
-
+    bit for bit, also where a plan row holds >= 8 elements (long rows
+    are where a reordered or pairwise sum would show)."""
     coo = get_entry("bmw7st_1").build(0.02)
     matrix, parts = build_configured(coo, "csx-sym", 2)
     assert any(
-        k.row_uniform and k.length >= 8
-        for p in matrix.partitions for k in p.plan.kernels
+        np.diff(p.plan.indptr).max() >= 8 for p in matrix.partitions
     )
     driver = ParallelSymmetricSpMV(matrix, parts, "indexed")
     X = np.random.default_rng(0).standard_normal((coo.n_rows, 8))
     Y = driver(X)
     for j in range(X.shape[1]):
         assert np.array_equal(Y[:, j], driver(np.ascontiguousarray(X[:, j])))
+
+
+@pytest.mark.parametrize("fmt", ["csx", "csx-sym"])
+@pytest.mark.parametrize("name", [e.name for e in SUITE])
+def test_csx_spmm_columns_bit_identical_on_suite(name, fmt):
+    """On every suite matrix, SpMM column j equals the SpM×V of
+    ``X[:, j]`` bit for bit, and ``threads`` equals ``serial``."""
+    coo = get_entry(name).build(0.01)
+    matrix, parts = build_configured(coo, fmt, 2)
+    X = np.random.default_rng(1).standard_normal((coo.n_rows, 8))
+    results = []
+    for backend in ("serial", "threads"):
+        ex = make_backend_executor(backend)
+        driver = (
+            ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex)
+            if fmt == "csx-sym" else ParallelSpMV(matrix, parts, executor=ex)
+        )
+        try:
+            Y = np.array(driver(X))
+            for j in range(X.shape[1]):
+                y = driver(np.ascontiguousarray(X[:, j]))
+                assert np.array_equal(Y[:, j], y), (backend, j)
+            results.append(Y)
+        finally:
+            driver.close()
+            ex.close()
+    assert np.array_equal(results[0], results[1])
