@@ -1,13 +1,19 @@
 """Cross-backend scaling benchmark: serial vs threads vs processes.
 
 The paper's kernels are memory-bound C; this reproduction's kernels
-are NumPy slices glued together with Python control flow, so the GIL
-caps the ``threads`` backend at roughly serial throughput no matter
-how many cores the host has. The shared-memory ``processes`` backend
-exists to lift that cap: workers attach the bound operator's arenas
-once at pool spin-up and per-call messages carry only task
-descriptors, so the per-application cost is the kernel alone — in
-separate interpreters that can actually run concurrently.
+are NumPy and scipy calls glued together with Python control flow.
+The ``threads`` backend (the calling thread runs one partition task,
+persistent pool threads the rest) overlaps only what releases the
+GIL. scipy's compiled CSR/CSC products do, which is why CSX-Sym
+applies scale on two cores. The SSS SpM×M swept here mixes gathers
+that release it with a ``bincount`` scatter that holds it, so its
+``threads`` rows gain less. (On the smallest smoke matrix every
+two-worker row loses to serial: the split and its reduction cost more
+than they save.) The shared-memory ``processes`` backend lifts the GIL
+limit: workers attach the bound operator's arenas once at pool
+spin-up and per-call messages carry only task descriptors, so the
+per-application cost is the kernel alone — in separate interpreters
+that can actually run concurrently.
 
 This benchmark sweeps worker counts over a bound SSS + indexed SpM×M
 operator (``k = 8`` — the multi-RHS shape where per-task work is

@@ -1,4 +1,4 @@
-"""Task execution backends (thread pools and process pools).
+"""Task execution backends (caller-run thread batches and process pools).
 
 The library needs to run "one task per thread" twice per SpM×V (the
 multiplication phase and the reduction phase). Four backends exist:
@@ -8,10 +8,16 @@ multiplication phase and the reduction phase). Four backends exist:
   parallel run (the algorithms are data-race-free by construction);
   this is the reproducible backend the experiments use, with timing
   supplied by the machine model (see DESIGN.md's hardware substitution).
-* ``threads`` — a real ``ThreadPoolExecutor``. NumPy releases the GIL
-  inside its kernels, so this demonstrates genuine concurrency, but
-  wall-clock scaling on the host says nothing about the paper's
-  platforms and is only used by the sanity benchmarks.
+* ``threads`` — the calling thread runs one task of each batch itself
+  and hands the rest to persistent daemon pool threads through one
+  ``queue.SimpleQueue``, then waits only for the queued tasks.
+  ``max_workers`` counts the caller: the pool holds ``max_workers - 1``
+  threads, and ``max_workers=1`` (or a one-task batch) never leaves the
+  caller. A two-task batch costs one queue put and one lock handoff,
+  about a third of a futures-based pool's submit-and-wait. scipy's
+  sparse products release the GIL, so the compiled CSR/CSC partition
+  kernels do overlap on two cores; wall-clock scaling on the host
+  still says nothing about the paper's platforms.
 * ``processes`` — GIL-free true parallelism over
   ``multiprocessing.shared_memory`` workspaces. The backend engages
   through a bound operator (whose ``bind`` builds the segments and the
@@ -19,7 +25,7 @@ multiplication phase and the reduction phase). Four backends exist:
   parallel drivers apply, plain ``driver(x)`` calls included. Per-call
   closures cannot cross a process boundary, so a caller that hands
   ``run_batch`` closures without a ``remote`` (the CSB-Sym comparator)
-  degrades to the thread pool with a one-time
+  degrades to the thread path with a one-time
   ``executor.processes_inline`` warning. A ``plan=`` composes chaos
   injection with the process backend — dispatch order is perturbed in
   the parent, raise/delay faults fire inside the workers.
@@ -30,20 +36,23 @@ multiplication phase and the reduction phase). Four backends exist:
   ``repro fuzz --chaos``.
 
 Failure containment (all parallel backends): when any task raises,
-``run_batch`` first awaits or cancels **every** sibling future — so no
-task can keep mutating shared output buffers after the call returns —
-then raises one :class:`~repro.resilience.errors.BatchExecutionError`
-aggregating every task's exception with its ``tid`` and the batch
-label. An optional ``fallback="serial"`` mode degrades gracefully: the
-failed batch is retried once serially (after the caller-supplied
-``reset`` re-zeroes any partially-written workspaces), counted on the
+``run_batch`` first awaits every running sibling and cancels every
+unstarted one — so no task can keep mutating shared output buffers
+after the call returns — then raises one
+:class:`~repro.resilience.errors.BatchExecutionError` aggregating every
+task's exception with its ``tid`` and the batch label. An optional
+``fallback="serial"`` mode degrades gracefully: the failed batch is
+retried once serially (after the caller-supplied ``reset`` re-zeroes
+any partially-written workspaces), counted on the
 ``resilience.serial_fallback`` warning counter.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import weakref
+from collections import deque
+from queue import SimpleQueue
 from time import perf_counter_ns
 from typing import Callable, Optional, Sequence
 
@@ -67,8 +76,11 @@ class Executor:
     ----------
     mode : {"serial", "threads", "processes", "chaos"}
     max_workers : int, optional
-        Worker count for the pooled backends (defaults to the task
-        count of each batch).
+        Concurrency cap. On ``threads``/``chaos`` it counts the calling
+        thread, which runs one task of each batch itself, so the pool
+        keeps ``max_workers - 1`` threads; on ``processes`` it caps the
+        worker processes. Defaults to the task count of each batch (the
+        thread pool grows to the largest batch seen).
     plan : ChaosPlan, optional
         Fault plan for the ``chaos`` backend (default: a delay/reorder
         only ``ChaosPlan(seed=0)`` — scheduling chaos, no exceptions)
@@ -119,14 +131,13 @@ class Executor:
             self.plan = plan  # processes: optional; others: None
         self.fallback = fallback
         self.n_batches = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
+        self._pool: Optional[_ThreadPool] = None
         self._warned_inline = False
         # Guards the batch-id counter and the pool lifecycle. Two
         # concurrent run_batch callers must never observe the same batch
         # id (it seeds chaos-plan fault derivation and trace/metric
-        # attribution), and a caller must never submit to a pool another
-        # caller is concurrently replacing through _ensure_pool.
+        # attribution), and a caller must never hand work to a pool
+        # another caller is concurrently replacing through _ensure_pool.
         self._lock = threading.Lock()
 
     def run_batch(
@@ -165,12 +176,12 @@ class Executor:
         over the very same shared arrays. A ``processes`` executor
         called without ``remote`` (a closure caller such as
         :class:`~repro.parallel.csb_spmv.ParallelCSBSymSpMV`) degrades
-        to the thread pool and counts ``executor.processes_inline``
+        to the ``threads`` path and counts ``executor.processes_inline``
         once.
 
-        On failure every sibling future is awaited or cancelled first,
-        then a single :class:`BatchExecutionError` aggregates all task
-        exceptions — by the time it propagates, nothing from this batch
+        On failure every running sibling is awaited and every unstarted
+        one cancelled first, then a single :class:`BatchExecutionError`
+        aggregates all task exceptions — by the time it propagates, nothing from this batch
         is still writing. ``reset`` is only invoked before the
         ``fallback="serial"`` retry, to restore partially-written
         workspaces to their pre-batch state.
@@ -290,69 +301,172 @@ class Executor:
     def _run_pooled(
         self, exec_tasks: list, order: list, name: str, batch: int
     ) -> None:
-        # Acquire-and-submit atomically: _ensure_pool may replace the
-        # pool (growth shuts the old one down), and a concurrent caller
-        # submitting to the replaced pool would hit "cannot schedule new
-        # futures after shutdown". Only submission is serialized; the
-        # wait below runs lock-free.
-        with self._lock:
-            pool = self._ensure_pool(len(exec_tasks))
-            futures = {pool.submit(exec_tasks[i]): i for i in order}
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        if not any(f.exception() is not None for f in done):
+        job = _Batch(exec_tasks, order)
+        own = job.pending.popleft()  # the caller's task, claimed first
+        pool = None
+        if job.pending:
+            # Handed over under the lock, so the tokens of a concurrent
+            # close() or growth queue up behind this batch.
+            with self._lock:
+                pool = self._ensure_pool(len(order))
+                if pool is not None:
+                    pool.hand_over(job)
+        job.run(own)
+        if pool is None:  # max_workers=1: every task stays on the caller
+            job.drain()
+        job.done.acquire()
+        if not job.failures:
             return
-        # Containment: a failure must not leave siblings running —
-        # cancel whatever has not started, then await the rest, so no
-        # future is still mutating shared output when we raise.
-        for f in not_done:
-            f.cancel()
-        if not_done:
-            wait(not_done)
-        failures = []
-        n_cancelled = 0
-        for f, tid in futures.items():
-            if f.cancelled():
-                n_cancelled += 1
-                continue
-            exc = f.exception()
-            if exc is not None:
-                failures.append(TaskFailure(tid, exc))
         _obs_warn("resilience.batch_failure")
         raise BatchExecutionError(
-            name, batch, failures,
-            n_tasks=len(exec_tasks), n_cancelled=n_cancelled,
+            name, batch, job.failures,
+            n_tasks=len(exec_tasks), n_cancelled=job.n_cancelled,
         )
 
-    def _ensure_pool(self, n_tasks: int) -> ThreadPoolExecutor:
-        """Pool sized for the *current* batch: with no explicit
-        ``max_workers`` the pool grows when a later batch brings more
-        tasks than any earlier one (a pool sized by the first batch
-        would silently serialize the excess tasks forever).
+    def _ensure_pool(self, n_tasks: int) -> Optional["_ThreadPool"]:
+        """The pool the *current* batch needs, or ``None`` when the
+        caller alone suffices. The caller runs one task itself, so
+        ``max_workers - 1`` pool threads give ``max_workers``-way
+        concurrency. With no explicit ``max_workers`` the pool grows
+        to one thread fewer than the batch's tasks when a later
+        batch brings more tasks than any earlier one (a pool sized by
+        the first batch would silently serialize the excess tasks
+        forever).
 
         Callers must hold ``self._lock``: growth replaces the pool, and
-        the acquire-submit window of every concurrent batch has to see a
-        consistent pool reference."""
-        want = self.max_workers if self.max_workers is not None else n_tasks
-        if self._pool is not None and want > self._pool_size:
-            # wait=True: every worker of the replaced pool has exited
-            # before the grown pool takes over — no orphaned threads
-            # holding references to earlier batches' buffers.
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool_size = want
-            self._pool = ThreadPoolExecutor(max_workers=want)
+        the handoff of every concurrent batch has to see a consistent
+        pool reference."""
+        want = (
+            self.max_workers if self.max_workers is not None else n_tasks
+        ) - 1
+        pool = self._pool
+        if pool is not None and pool.size >= want:
+            return pool
+        if want < 1:
+            return None
+        if pool is not None:
+            # Every thread of the replaced pool has exited before the
+            # grown pool takes over: no orphaned threads holding
+            # references to earlier batches' buffers.
+            pool.retire()
+            pool.join()
+        self._pool = _ThreadPool(self, want, f"repro-{self.mode}")
         return self._pool
 
     def close(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
-            self._pool_size = 0
+            if pool is not None:
+                pool.retire()
         if pool is not None:
-            pool.shutdown(wait=True)
+            pool.join()
 
     def __enter__(self) -> "Executor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class _Batch:
+    """One pooled ``run_batch``: the tasks not yet claimed, shared by the
+    calling thread and every pool thread that picks the batch up.
+
+    ``deque.popleft`` is atomic, so each task is claimed exactly once.
+    ``done`` is a lock held from construction until the last task has
+    finished — run, failed or cancelled — which is when the caller may
+    return."""
+
+    __slots__ = (
+        "tasks", "pending", "failures", "n_cancelled", "failed",
+        "remaining", "lock", "done",
+    )
+
+    def __init__(self, tasks: list, order: list):
+        self.tasks = tasks
+        self.pending = deque(order)
+        self.failures: list[TaskFailure] = []
+        self.n_cancelled = 0
+        self.failed = False
+        self.remaining = len(order)
+        self.lock = threading.Lock()
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def run(self, i: int) -> None:
+        """Run task ``i``, or cancel it once a sibling has failed."""
+        cancelled = self.failed
+        exc = None
+        if not cancelled:
+            try:
+                self.tasks[i]()
+            except BaseException as e:
+                exc = e
+        with self.lock:
+            if exc is not None:
+                self.failed = True
+                self.failures.append(TaskFailure(i, exc))
+            elif cancelled:
+                self.n_cancelled += 1
+            self.remaining -= 1
+            if self.remaining == 0:
+                self.done.release()
+
+    def drain(self) -> None:
+        """Claim and run tasks until none is left unclaimed."""
+        pending = self.pending
+        while pending:
+            try:
+                i = pending.popleft()
+            except IndexError:  # claimed by another thread since
+                return
+            self.run(i)
+
+
+class _ThreadPool:
+    """One generation of daemon pool threads and the queue they read.
+
+    Each generation owns its queue, so a stop token always reaches a
+    thread of the generation being stopped, never one that replaced
+    it. The threads reference only the queue, never the executor, so
+    an executor dropped without ``close()`` is still collected."""
+
+    def __init__(self, owner: Executor, size: int, name: str):
+        self.size = size
+        self.queue: SimpleQueue = SimpleQueue()
+        #: Sends each thread its stop token, once: called on close() or
+        #: growth, or by the collector when ``owner`` was never closed.
+        self.retire = weakref.finalize(owner, self._stop)
+        self.threads = [
+            threading.Thread(
+                target=_worker, args=(self.queue,),
+                name=f"{name}-{i}", daemon=True,
+            )
+            for i in range(size)
+        ]
+        for t in self.threads:
+            t.start()
+
+    def hand_over(self, job: _Batch) -> None:
+        """Wake up to one thread per unclaimed task of ``job``."""
+        for _ in range(min(len(job.pending), self.size)):
+            self.queue.put(job)
+
+    def _stop(self) -> None:
+        for _ in range(self.size):
+            self.queue.put(None)
+
+    def join(self) -> None:
+        for t in self.threads:
+            t.join()
+
+
+def _worker(queue: SimpleQueue) -> None:
+    """Pool thread body: run tasks of each batch handed over until told
+    to stop (a ``None`` token)."""
+    while True:
+        job = queue.get()
+        if job is None:
+            return
+        job.drain()
+        del job  # hold no batch (and its buffers) while idle
