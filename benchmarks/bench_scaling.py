@@ -68,7 +68,10 @@ from repro.parallel import (  # noqa: E402
 
 BLOCK_K = 8
 REPEATS = 5
-SMOKE_REPEATS = 3
+#: Timed applies per smoke row. The p95 that ``check_regression.py``
+#: widens its limit by needs at least 10 samples above it; with only a
+#: few samples it is the slowest one, and one preempted apply sets it.
+SMOKE_REPEATS = 200
 WORKER_SWEEP = (1, 2, 4)
 GATE_MIN_CORES = 4          # the 1.5x gate needs real parallel hardware
 GATE_SPEEDUP = 1.5          # processes vs threads, largest worker count
@@ -279,7 +282,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="tiny matrices and fewer repeats (CI smoke run)",
+        help="tiny matrices, many short timed repeats (CI smoke run)",
     )
     parser.add_argument(
         "--workers", type=int, nargs="+", default=None,

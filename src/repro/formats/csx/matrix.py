@@ -34,7 +34,8 @@ class CSXPartition:
     """One thread's share of a CSX matrix.
 
     ``unit_arrays`` holds the units decoded from ``ctl`` (with values
-    attached), as struct-of-arrays in execution order.
+    attached), as struct-of-arrays in execution order; the build makes
+    no :class:`Unit` objects (:attr:`units` is an adapter).
     """
 
     row_start: int
@@ -72,17 +73,14 @@ def encode_partition(
 ) -> CSXPartition:
     """Encode a partition's units into ``ctl`` and compile its plan.
 
-    The build creates :class:`Unit` objects only here, at the codec
-    boundary (their constructor validates each one). Fidelity check:
-    the plan is compiled from the *decoded* stream so the bytes we
-    account for are the bytes we execute.
+    Arrays go to bytes and back to arrays: :func:`encode_ctl` validates
+    every unit and writes the stream, :func:`decode_ctl` reads it back.
+    Fidelity check: the plan is compiled from the *decoded* stream so
+    the bytes we account for are the bytes we execute.
     """
-    encoded = units.to_units()
-    table = build_pattern_table(encoded)
-    ctl = encode_ctl(encoded, table)
-    decoded = UnitArrays.from_units(
-        decode_ctl(ctl, {i: p for p, i in table.items()})
-    )
+    table = build_pattern_table(units)
+    ctl = encode_ctl(units, table)
+    decoded = decode_ctl(ctl, {i: p for p, i in table.items()})
     if decoded.n_units != units.n_units or not np.array_equal(
         decoded.length, units.length
     ):

@@ -159,15 +159,17 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class UnitArrays:
     """A unit list as struct-of-arrays, in execution (``ctl``) order.
 
-    The build pipeline — detection, legalization, value attachment and
-    plan compilation — works on this form; :class:`Unit` objects only
-    appear at the ``ctl`` codec boundary and in the Unit-list adapters.
+    The build pipeline — detection, legalization, value attachment,
+    the ``ctl`` codec and plan compilation — works on this form;
+    :class:`Unit` objects only appear in the Unit-list adapters
+    (:meth:`from_units`, :meth:`to_units`).
 
     Per unit: ``code`` (an index into the ascending ``patterns``), the
     anchor ``row`` / ``col`` and ``length``. ``delta_cols`` concatenates
     the explicit columns of the delta units, in unit order; ``values``
     (``None`` before value attachment) concatenates every unit's values
-    in execution order.
+    in execution order. ``patterns`` may list patterns no unit uses
+    (legalization drops units, not patterns).
     """
 
     patterns: tuple

@@ -17,6 +17,8 @@ __all__ = [
     "decode_varint",
     "encode_varints",
     "varint_size",
+    "varint_sizes",
+    "put_varints",
 ]
 
 
@@ -85,3 +87,15 @@ def varint_sizes(values: np.ndarray) -> np.ndarray:
         sizes += (v != 0).astype(np.int64)
         v >>= 7
     return sizes
+
+
+def put_varints(
+    out: np.ndarray, pos: np.ndarray, values: np.ndarray, sizes: np.ndarray
+) -> None:
+    """Write the varint of each ``values[i]`` into the uint8 array ``out``
+    at ``pos[i]``, taking ``sizes[i]`` (its :func:`varint_sizes`) bytes."""
+    for k in range(int(sizes.max()) if sizes.size else 0):
+        m = sizes > k
+        out[pos[m] + k] = ((values[m] >> (7 * k)) & 0x7F) | np.where(
+            sizes[m] > k + 1, 0x80, 0
+        )

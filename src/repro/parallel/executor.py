@@ -195,33 +195,19 @@ class Executor:
         """
         if not tasks:
             return None
-        tasks = list(tasks)
         tracer = _active_tracer()
+        traced = tracer.enabled
         name = label or "task"
         with self._lock:
             batch = self.n_batches
             self.n_batches += 1
 
-        t0 = perf_counter_ns() if tracer.enabled else 0
-
-        def record_batch() -> None:
-            if tracer.enabled:
-                tracer.metrics.histogram(
-                    "batch.latency_ns", label=name, backend=self.mode
-                ).record(perf_counter_ns() - t0)
-
-        def instrumented(task_list):
-            if not tracer.enabled:
-                return task_list
-            return [
-                self._traced(tracer, name, tid_base + i, task, self.mode)
-                for i, task in enumerate(task_list)
-            ]
-
+        t0 = perf_counter_ns() if traced else 0
         if self.mode == "serial":
-            for task in instrumented(tasks):
+            for task in self._instrumented(tracer, name, tid_base, tasks):
                 task()
-            record_batch()
+            if traced:
+                self._record_batch(tracer, name, t0)
             return batch
 
         if self.mode == "chaos":
@@ -235,7 +221,7 @@ class Executor:
             order = self.plan.submission_order(batch, len(tasks))
         else:
             exec_tasks = tasks
-            order = list(range(len(tasks)))
+            order = range(len(tasks))
 
         try:
             if self.mode == "processes" and remote is not None:
@@ -253,7 +239,8 @@ class Executor:
                     self._warned_inline = True
                     _obs_warn("executor.processes_inline")
                 self._run_pooled(
-                    instrumented(exec_tasks), order, name, batch
+                    self._instrumented(tracer, name, tid_base, exec_tasks),
+                    order, name, batch,
                 )
         except BatchExecutionError:
             if self.fallback != "serial":
@@ -268,15 +255,32 @@ class Executor:
                 reset()
             tid = 0
             try:
-                for tid, task in enumerate(instrumented(tasks)):
+                for tid, task in enumerate(
+                    self._instrumented(tracer, name, tid_base, tasks)
+                ):
                     task()
             except BaseException as exc:
                 raise BatchExecutionError(
                     name, batch, [TaskFailure(tid_base + tid, exc)],
                     n_tasks=len(tasks),
                 ) from exc
-        record_batch()
+        if traced:
+            self._record_batch(tracer, name, t0)
         return batch
+
+    def _instrumented(self, tracer, name: str, tid_base: int, tasks):
+        """``tasks``, each wrapped in a trace span when tracing is on."""
+        if not tracer.enabled:
+            return tasks
+        return [
+            self._traced(tracer, name, tid_base + i, task, self.mode)
+            for i, task in enumerate(tasks)
+        ]
+
+    def _record_batch(self, tracer, name: str, t0: int) -> None:
+        tracer.metrics.histogram(
+            "batch.latency_ns", label=name, backend=self.mode
+        ).record(perf_counter_ns() - t0)
 
     @staticmethod
     def _traced(tracer, name: str, tid: int, task, mode: str):
@@ -299,7 +303,7 @@ class Executor:
         return run
 
     def _run_pooled(
-        self, exec_tasks: list, order: list, name: str, batch: int
+        self, exec_tasks: Sequence, order: Sequence, name: str, batch: int
     ) -> None:
         job = _Batch(exec_tasks, order)
         own = job.pending.popleft()  # the caller's task, claimed first
@@ -382,7 +386,7 @@ class _Batch:
         "remaining", "lock", "done",
     )
 
-    def __init__(self, tasks: list, order: list):
+    def __init__(self, tasks: Sequence, order: Sequence):
         self.tasks = tasks
         self.pending = deque(order)
         self.failures: list[TaskFailure] = []

@@ -106,3 +106,30 @@ def test_values_and_ctl_sizes_accounted(sym_coo_medium):
     csx = CSXMatrix(sym_coo_medium)
     assert csx.size_bytes() == 8 * csx.nnz + csx.ctl_size_bytes()
     assert csx.ctl_size_bytes() > 0
+
+
+def test_build_creates_no_unit_objects(monkeypatch):
+    """The CSX and CSX-Sym builds run on UnitArrays end to end; a Unit
+    is only made by the Unit-list adapters."""
+    from repro.formats.csx import CSXSymMatrix
+    from repro.formats.csx.substructures import Unit
+    from repro.matrices.suite import get_entry
+
+    made = []
+    original = Unit.__post_init__
+
+    def counting(self):
+        made.append(self)
+        original(self)
+
+    monkeypatch.setattr(Unit, "__post_init__", counting)
+    coo = get_entry("bmwcra_1").build(0.01)
+    parts = [(0, 746), (746, coo.n_rows)]
+    sym = CSXSymMatrix(coo, parts)
+    csx = CSXMatrix(coo, parts)
+    assert made == []
+    # The builds exercised substructures, delta units and legalization.
+    assert sym.rejected_units > 0
+    assert 0 < csx.substructure_coverage() < 1
+    # The adapters still make Units, so the counter is live.
+    assert len(sym.partitions[0].units) == len(made) > 0

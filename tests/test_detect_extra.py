@@ -17,6 +17,7 @@ from repro.formats.csx.substructures import (
     PatternKey,
     PatternType,
     Unit,
+    UnitArrays,
 )
 
 
@@ -84,7 +85,7 @@ def test_pattern_table_overflow_raises():
         for d in range(1, MAX_PATTERN_ID - FIRST_DYNAMIC_ID + 3)
     ]
     with pytest.raises(ValueError, match="overflow"):
-        build_pattern_table(units)
+        build_pattern_table(UnitArrays.from_units(units))
 
 
 def test_zero_gain_patterns_not_selected():

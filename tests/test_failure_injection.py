@@ -16,14 +16,15 @@ from repro.formats.csx.ctl import (
     encode_ctl,
     encode_pattern_table,
 )
-from repro.formats.csx.detect import detect_and_encode
+from repro.formats.csx.detect import detect_units
+from repro.formats.csx.substructures import UnitArrays
 from repro.parallel import ParallelSymmetricSpMV
 
 
 @pytest.fixture(scope="module")
 def encoded(sym_dense_small):
     rows, cols = np.nonzero(sym_dense_small)
-    units, _ = detect_and_encode(
+    units, _ = detect_units(
         rows.astype(np.int64),
         cols.astype(np.int64),
         sym_dense_small[rows, cols],
@@ -45,7 +46,7 @@ def test_truncated_ctl_all_prefixes(encoded):
             partial = decode_ctl(ctl[:-cut], inv)
         except ValueError:
             continue
-        assert len(partial) < len(full)
+        assert partial.n_units < full.n_units
 
 
 def test_bitflip_in_ctl_detected_or_changes_decode(encoded):
@@ -55,13 +56,11 @@ def test_bitflip_in_ctl_detected_or_changes_decode(encoded):
     inv = {i: p for p, i in table.items()}
 
     def snapshot(decoded):
-        return [
-            (
-                u.pattern, u.row, u.col, u.length,
-                tuple(u.cols) if u.cols is not None else None,
-            )
-            for u in decoded
-        ]
+        return (
+            [decoded.patterns[c] for c in decoded.code.tolist()],
+            decoded.row.tolist(), decoded.col.tolist(),
+            decoded.length.tolist(), decoded.delta_cols.tolist(),
+        )
 
     reference = snapshot(decode_ctl(ctl, inv))
     rng = np.random.default_rng(0)
@@ -81,7 +80,7 @@ def test_bitflip_in_ctl_detected_or_changes_decode(encoded):
 
 
 def test_pattern_table_corruption():
-    table = build_pattern_table([])
+    table = build_pattern_table(UnitArrays.empty())
     buf = encode_pattern_table(table)
     # Claim one more entry than present.
     bad = bytes([buf[0] + 1]) + buf[1:]

@@ -9,6 +9,7 @@ from repro.formats.csx.varint import (
     decode_varint,
     encode_varint,
     encode_varints,
+    put_varints,
     varint_size,
     varint_sizes,
 )
@@ -89,3 +90,13 @@ def test_sequence_roundtrip_property(values):
         v, pos = decode_varint(buf, pos)
         out.append(v)
     assert out == values
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**62), max_size=50))
+def test_put_varints_matches_encode_varints(values):
+    """The vectorized writer lays out the same bytes as the scalar one."""
+    v = np.array(values, dtype=np.int64)
+    sizes = varint_sizes(v)
+    out = np.zeros(int(sizes.sum()), dtype=np.uint8)
+    put_varints(out, np.cumsum(sizes) - sizes, v, sizes)
+    assert out.tobytes() == encode_varints(values)
