@@ -45,15 +45,17 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from common import SCALE, timed_repeat  # noqa: E402
+from common import SCALE  # noqa: E402
 from repro.formats import COOMatrix, SSSMatrix  # noqa: E402
 from repro.machine import GAINESTOWN, predict_spmv  # noqa: E402
+from repro.obs import summarize_ns  # noqa: E402
 from repro.matrices.generators import (  # noqa: E402
     banded_random,
     grid_laplacian_2d,
@@ -113,48 +115,74 @@ def _bound(sss, parts, backend: str, workers: int):
     return op, close
 
 
+def _configs(workers_sweep):
+    """Every (backend, workers) row of one matrix, in report order."""
+    for workers in workers_sweep:
+        for backend in BACKENDS:
+            if backend == "serial" and workers != workers_sweep[0]:
+                continue  # serial has no worker axis; measure once
+            if backend == "processes" and not shared_memory_available():
+                continue
+            yield backend, workers
+
+
 def measure(matrices, workers_sweep, repeats: int) -> list[dict]:
     """One row per (matrix, backend, workers): p50/p95 per application,
-    with a cross-backend bit-identity check against serial baked in."""
+    with a cross-backend bit-identity check against serial baked in.
+
+    All operators of a matrix are bound first and their timed samples
+    taken round-robin, one timed apply of each per round, so a burst
+    of host load lands on every row of the matrix instead of moving
+    one row's p50."""
     rows = []
     rng = np.random.default_rng(42)
     for name, coo in matrices.items():
         sss = SSSMatrix.from_coo(coo)
         X = rng.standard_normal((coo.n_cols, BLOCK_K))
-        serial_y = None
-        for workers in workers_sweep:
-            parts = partition_nnz_balanced(
-                sss.expanded_row_nnz(), workers
-            )
-            for backend in BACKENDS:
-                if backend == "serial" and workers != workers_sweep[0]:
-                    continue  # serial has no worker axis; measure once
-                if backend == "processes" and not shared_memory_available():
-                    continue
-                op, close = _bound(sss, parts, backend, workers)
-                try:
-                    y = np.array(op(X))
-                    if serial_y is None:
-                        serial_y = y
-                    elif backend != "serial" and not np.array_equal(
-                        y, serial_y
-                    ):
-                        # Partition layouts differ across worker counts,
-                        # so only exact-layout runs are bit-comparable;
-                        # all must still match numerically.
-                        assert np.allclose(y, serial_y), (
-                            f"{backend} x{workers} diverged on {name}"
-                        )
-                    stats = timed_repeat(lambda: op(X), repeats=repeats)
-                finally:
-                    close()
-                rows.append({
-                    "matrix": name,
-                    "backend": backend,
-                    "workers": 1 if backend == "serial" else workers,
-                    "p50_ms": stats["p50_ms"],
-                    "p95_ms": stats["p95_ms"],
-                })
+        bound = []  # (backend, workers, operator, close)
+        try:
+            for backend, workers in _configs(workers_sweep):
+                parts = partition_nnz_balanced(
+                    sss.expanded_row_nnz(), workers
+                )
+                bound.append(
+                    (backend, workers, *_bound(sss, parts, backend, workers))
+                )
+            serial_y = None
+            for backend, workers, op, _ in bound:
+                y = np.array(op(X))
+                if serial_y is None:
+                    serial_y = y
+                elif backend != "serial" and not np.array_equal(
+                    y, serial_y
+                ):
+                    # Partition layouts differ across worker counts,
+                    # so only exact-layout runs are bit-comparable;
+                    # all must still match numerically.
+                    assert np.allclose(y, serial_y), (
+                        f"{backend} x{workers} diverged on {name}"
+                    )
+            samples = [[] for _ in bound]
+            for _ in range(repeats):
+                for (_, _, op, _), times in zip(bound, samples):
+                    # Untimed first: after another operator's apply,
+                    # this one's caches are cold and its pool idle.
+                    op(X)
+                    t0 = time.perf_counter_ns()
+                    op(X)
+                    times.append(time.perf_counter_ns() - t0)
+        finally:
+            for *_, close in bound:
+                close()
+        for (backend, workers, _, _), times in zip(bound, samples):
+            stats = summarize_ns(times)
+            rows.append({
+                "matrix": name,
+                "backend": backend,
+                "workers": 1 if backend == "serial" else workers,
+                "p50_ms": stats["p50_ms"],
+                "p95_ms": stats["p95_ms"],
+            })
     return rows
 
 

@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="task executor; 'threads' gives per-thread timelines "
                  "in the trace, 'processes' runs GIL-free workers over "
                  "shared-memory workspaces (engages through the bound "
-                 "operator), 'chaos' perturbs scheduling (delays + "
-                 "reordered completions, no injected exceptions) to "
+                 "operator), 'chaos' is 'threads' with a fault plan of "
+                 "delays + reordered completions (no exceptions) to "
                  "smoke-test determinism",
         )
 
@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument(
         "--chaos", action="store_true",
-        help="re-run parallel/bound combos under a fault-injecting "
-             "chaos executor; injected faults must surface as typed "
+        help="re-run parallel/bound combos on 'threads' with a "
+             "fault-injecting plan; injected faults must surface as typed "
              "errors or leave the output oracle-correct",
     )
     p_fuzz.add_argument(
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--executor", default="threads",
             choices=("serial", "threads", "processes", "chaos"),
             help="compute executor behind the served operators; "
-                 "'chaos' injects faults and delays (the drill: "
-                 "requests must complete via serial fallback or fail "
+                 "'chaos' is 'threads' injecting faults and delays (the "
+                 "drill: requests must complete via serial fallback or fail "
                  "typed — never hang, never return wrong bits)",
         )
         p.add_argument("--kind", default="spmv",
@@ -480,7 +480,7 @@ def _trace_setup(args):
         # completions keep the two-phase algorithm bit-correct; no
         # injected exceptions from the CLI.
         plan = ChaosPlan(seed=0, p_raise=0.0, p_delay=0.5, max_delay_ms=0.2)
-        executor = Executor("chaos", plan=plan)
+        executor = Executor("threads", plan=plan)
     elif args.executor in ("threads", "processes"):
         executor = Executor(args.executor)
     else:
@@ -819,7 +819,7 @@ def _serve_setup(args):
         plan = ChaosPlan(
             seed=args.seed, p_raise=0.3, p_delay=0.3, max_delay_ms=0.2
         )
-        executor = Executor("chaos", plan=plan)
+        executor = Executor("threads", plan=plan)
     elif args.executor in ("threads", "processes"):
         executor = Executor(args.executor, max_workers=args.threads)
     else:

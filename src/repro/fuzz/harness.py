@@ -151,7 +151,7 @@ class Combo:
         ``failure_kind`` is ``""`` on success, ``"mismatch"`` on an
         oracle disagreement, or ``"exception:<Type>"`` when building or
         applying raised. A ``chaos_plan`` routes the parallel/bound
-        drivers through ``Executor("chaos", plan=...)`` — injected
+        drivers through ``Executor("threads", plan=...)`` — injected
         faults then surface as the typed containment exceptions, which
         the harness classifies (serial combos ignore the plan: there is
         no batch to disrupt). ``executor_mode`` instead picks a plain
@@ -164,7 +164,7 @@ class Combo:
         executor = None
         if self.driver != "serial":
             if chaos_plan is not None:
-                executor = Executor("chaos", plan=chaos_plan)
+                executor = Executor("threads", plan=chaos_plan)
             elif executor_mode is not None:
                 executor = Executor(executor_mode, max_workers=2)
         apply = None
@@ -245,9 +245,9 @@ class FuzzConfig:
     mm_every: int = 4  # dirty-MatrixMarket case every N matrix cases
     shrink: bool = True
     max_mismatches: int = 5
-    #: Re-run every parallel/bound combo through a chaos executor with a
-    #: rotated fault plan; injected faults must either be contained in
-    #: the typed resilience exceptions or leave the output bit-correct.
+    #: Re-run every parallel/bound combo on ``threads`` with a rotated
+    #: fault plan; injected faults must either be contained in the
+    #: typed resilience exceptions or leave the output bit-correct.
     chaos: bool = False
     #: Under ``chaos``, every N-th symmetric case also runs the
     #: out-of-core rotation: the case is ingested to disk shards and

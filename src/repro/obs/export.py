@@ -7,13 +7,14 @@ One trace document serves every consumer:
   the per-thread timeline; extra top-level keys are ignored by both).
 * ``summary.spans`` — p50/p95/total per span name (the machine-readable
   phase breakdown benchmarks and CI assert on).
-* ``summary.counters`` — merged traffic/cache/solver counters.
+* ``summary.counters`` — the registry's unlabeled counters
+  (traffic, reduction, out-of-core volumes; ``Tracer.counters()``).
 * ``summary.metrics`` — the tracer's streaming-metrics snapshot
   (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`): histograms
   with bucket data and p50/p95/p99 summaries, counters, gauges.
 
-Schema v2 additionally renders every merged tracer counter as a
-Chrome counter track (``"ph": "C"``): a zero sample at the timeline
+Schema v2 additionally renders every unlabeled counter as a Chrome
+counter track (``"ph": "C"``): a zero sample at the timeline
 origin and the final total at the last event timestamp, so traffic
 and reduction volumes are visible alongside the span timeline.
 
@@ -76,7 +77,7 @@ def summarize(tracer: Tracer) -> dict:
 def chrome_events(tracer: Tracer) -> list[dict]:
     """Chrome ``trace_event`` list: one complete (``"ph": "X"``) event
     per span, one instant (``"ph": "i"``) per event, a counter track
-    (``"ph": "C"``) per merged tracer counter, plus thread-name
+    (``"ph": "C"``) per unlabeled counter, plus thread-name
     metadata so the timeline shows real thread labels. Timestamps are
     microseconds relative to the tracer's origin."""
     origin = tracer.origin_ns

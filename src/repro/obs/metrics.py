@@ -1,10 +1,11 @@
 """Streaming metrics: counters, gauges, mergeable log-scale histograms.
 
 The tracer (:mod:`repro.obs.tracer`) records *what happened* — spans
-and raw counters a post-hoc exporter summarizes. This module records
-*distributions as they stream*: an operator applied a million times
-must answer "what is the p99 latency right now" without retaining a
-million samples. Three metric kinds cover that:
+a post-hoc exporter summarizes. This module is the one counter store
+(the tracer's ``count()`` lands here) and records *distributions as
+they stream*: an operator applied a million times must answer "what
+is the p99 latency right now" without retaining a million samples.
+Three metric kinds cover that:
 
 * :class:`Counter` — monotone accumulator (requests, bytes, errors).
 * :class:`Gauge` — last-written value with a timestamp (the current
@@ -329,6 +330,8 @@ class Gauge:
 
 
 def _label_key(labels: dict) -> tuple:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -350,7 +353,7 @@ class MetricsRegistry:
     is ever taken after a thread's shard exists. Aggregation happens in
     :meth:`snapshot` / :meth:`merged_histogram`, which merge shard
     state without disturbing the writers (the worst race is missing a
-    concurrent increment, exactly like the tracer's counters).
+    concurrent increment).
     """
 
     def __init__(self):

@@ -1,4 +1,4 @@
-"""In-kernel tracing and metrics: spans, per-thread buffers, counters.
+"""In-kernel tracing: spans and instant events in per-thread buffers.
 
 The paper's claims are *per-phase* (compute vs. reduction, Fig. 9/10)
 and *per-thread* (effective-region density and load balance, Fig. 4/5),
@@ -13,6 +13,8 @@ Design constraints, in order:
   ``span()`` returns a shared no-op context manager and ``count()`` /
   ``event()`` return immediately. Kernels therefore instrument
   unconditionally and pay ~an ``if`` when nobody is tracing.
+* **One counter store.** ``count(name, v)`` bumps the unlabeled
+  counter ``name`` of the tracer's :attr:`Tracer.metrics` registry.
 * **No locks on the hot path.** Every recording thread appends to its
   own buffer (reached through ``threading.local``); the tracer lock is
   taken only once per thread, when its buffer is first created.
@@ -90,15 +92,14 @@ class SpanEvent:
 
 
 class _ThreadBuffer:
-    """Per-thread event list + counter dict; only its owner writes."""
+    """Per-thread event list; only its owner writes."""
 
-    __slots__ = ("ident", "thread_name", "events", "counters", "depth")
+    __slots__ = ("ident", "thread_name", "events", "depth")
 
     def __init__(self, ident: int, thread_name: str):
         self.ident = ident
         self.thread_name = thread_name
         self.events: list[SpanEvent] = []
-        self.counters: dict[str, float] = {}
         self.depth = 0
 
 
@@ -131,7 +132,8 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans, instant events and counters across threads.
+    """Collects spans and instant events across threads; counters live
+    in its :attr:`metrics` registry.
 
     Parameters
     ----------
@@ -193,11 +195,9 @@ class Tracer:
         )
 
     def count(self, name: str, value: float = 1) -> None:
-        """Accumulate a named counter (per-thread, merged at export)."""
-        if not self.enabled:
-            return
-        counters = self._buffer().counters
-        counters[name] = counters.get(name, 0) + value
+        """Add ``value`` to the registry's unlabeled counter ``name``."""
+        if self.enabled:
+            self.metrics.counter(name).inc(value)
 
     def _buffer(self) -> _ThreadBuffer:
         buf = getattr(self._local, "buf", None)
@@ -225,14 +225,11 @@ class Tracer:
         return out
 
     def counters(self) -> dict[str, float]:
-        """Counters merged across all threads."""
-        merged: dict[str, float] = {}
-        with self._lock:
-            buffers = list(self._buffers)
-        for buf in buffers:
-            for name, value in buf.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
+        """Read-only view of the registry's unlabeled counters."""
+        return {
+            e["name"]: e["value"]
+            for e in self.metrics.snapshot()["counters"] if not e["labels"]
+        }
 
     def n_threads_seen(self) -> int:
         with self._lock:
@@ -244,7 +241,6 @@ class Tracer:
         with self._lock:
             for buf in self._buffers:
                 buf.events.clear()
-                buf.counters.clear()
         self.metrics.clear()
         self.origin_ns = perf_counter_ns()
 

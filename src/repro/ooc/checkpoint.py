@@ -196,8 +196,8 @@ class CheckpointStore:
                     pass
             if tracer.enabled:
                 tracer.count("ooc.checkpoints_written")
-                tracer.metrics.counter("ooc.checkpoint_bytes").inc(
-                    sum(len(part) for part in parts)
+                tracer.count(
+                    "ooc.checkpoint_bytes", sum(len(p) for p in parts)
                 )
         return path
 

@@ -1,7 +1,7 @@
 """Task execution backends (caller-run thread batches and process pools).
 
 The library needs to run "one task per thread" twice per SpM×V (the
-multiplication phase and the reduction phase). Four backends exist:
+multiplication phase and the reduction phase). Three backends exist:
 
 * ``serial`` (default) — tasks run sequentially in deterministic order.
   Correctness and the traffic instrumentation are identical to a
@@ -26,14 +26,13 @@ multiplication phase and the reduction phase). Four backends exist:
   closures cannot cross a process boundary, so a caller that hands
   ``run_batch`` closures without a ``remote`` (the CSB-Sym comparator)
   degrades to the thread path with a one-time
-  ``executor.processes_inline`` warning. A ``plan=`` composes chaos
-  injection with the process backend — dispatch order is perturbed in
-  the parent, raise/delay faults fire inside the workers.
-* ``chaos`` — the ``threads`` backend with a deterministic
-  :class:`~repro.resilience.chaos.ChaosPlan` injecting per-task
-  exceptions, delays and submission reorders, so every failure path of
-  the containment machinery is reachable in tests and from
-  ``repro fuzz --chaos``.
+  ``executor.processes_inline`` warning.
+
+Either parallel backend takes a ``plan=``
+:class:`~repro.resilience.chaos.ChaosPlan` injecting deterministic
+per-task exceptions, delays and submission reorders, so every failure
+path of the containment machinery is reachable in tests and from
+``repro fuzz --chaos``; ``processes`` fires them inside the workers.
 
 Failure containment (all parallel backends): when any task raises,
 ``run_batch`` first awaits every running sibling and cancels every
@@ -63,10 +62,10 @@ from .shm import shared_memory_available as _shm_available
 
 __all__ = ["Executor"]
 
-_MODES = ("serial", "threads", "processes", "chaos")
+_MODES = ("serial", "threads", "processes")
 
 #: Modes that accept a ``plan=`` (fault injection / scheduling chaos).
-_PLAN_MODES = ("chaos", "processes")
+_PLAN_MODES = ("threads", "processes")
 
 
 class Executor:
@@ -74,19 +73,19 @@ class Executor:
 
     Parameters
     ----------
-    mode : {"serial", "threads", "processes", "chaos"}
+    mode : {"serial", "threads", "processes"}
     max_workers : int, optional
-        Concurrency cap. On ``threads``/``chaos`` it counts the calling
+        Concurrency cap. On ``threads`` it counts the calling
         thread, which runs one task of each batch itself, so the pool
         keeps ``max_workers - 1`` threads; on ``processes`` it caps the
         worker processes. Defaults to the task count of each batch (the
         thread pool grows to the largest batch seen).
     plan : ChaosPlan, optional
-        Fault plan for the ``chaos`` backend (default: a delay/reorder
-        only ``ChaosPlan(seed=0)`` — scheduling chaos, no exceptions)
-        or the ``processes`` backend (default: no plan; when given,
-        raise/delay faults fire inside the workers and the dispatch
-        order is perturbed in the parent). Rejected for other modes.
+        Fault plan for either parallel backend (default: none). On
+        ``threads`` each task is wrapped with its fault and the batch
+        reordered; on ``processes`` raise/delay faults fire inside the
+        workers and the dispatch order is perturbed in the parent.
+        Rejected for ``serial``.
     fallback : {None, "serial"}
         ``"serial"`` retries a failed batch once, serially, after
         re-zeroing workspaces through the caller's ``reset`` hook.
@@ -125,10 +124,7 @@ class Executor:
             )
         self.mode = mode
         self.max_workers = max_workers
-        if mode == "chaos":
-            self.plan = plan if plan is not None else ChaosPlan(0)
-        else:
-            self.plan = plan  # processes: optional; others: None
+        self.plan = plan
         self.fallback = fallback
         self.n_batches = 0
         self._pool: Optional[_ThreadPool] = None
@@ -210,18 +206,15 @@ class Executor:
                 self._record_batch(tracer, name, t0)
             return batch
 
-        if self.mode == "chaos":
-            exec_tasks = [
-                self.plan.wrap(batch, tid_base + i, task)
-                for i, task in enumerate(tasks)
-            ]
+        exec_tasks = tasks
+        order = range(len(tasks))
+        if self.plan is not None:
             order = self.plan.submission_order(batch, len(tasks))
-        elif self.plan is not None:  # processes + chaos plan
-            exec_tasks = tasks
-            order = self.plan.submission_order(batch, len(tasks))
-        else:
-            exec_tasks = tasks
-            order = range(len(tasks))
+            if self.mode == "threads":  # processes: wrapped worker-side
+                exec_tasks = [
+                    self.plan.wrap(batch, tid_base + i, task)
+                    for i, task in enumerate(tasks)
+                ]
 
         try:
             if self.mode == "processes" and remote is not None:

@@ -9,18 +9,19 @@ per-call protocol is descriptors only::
 
     parent -> worker   ("run", batch, [tid, ...], collect)
     worker -> parent   ("done", batch, [(tid, pid, dur_ns, err), ...],
-                        counters | None, metrics_snapshot | None)
+                        metrics_snapshot | None)
 
 ``collect`` mirrors the parent's tracer enablement: when set, the
 worker runs the batch under its own (process-local) enabled tracer and
-ships back the *deltas* — the tracer counters the kernels bumped and a
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` of any streaming
-metrics — then clears its tracer. The parent folds the counters into
-its active tracer and merges the metrics snapshot (histogram merge is
-associative, so worker/batch arrival order does not matter): a
-``"processes"`` run reports the same counter and metric names as
-``threads``/``serial``. With tracing disabled nothing is collected and
-the reply carries ``None``s.
+ships back its per-batch delta — one
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` holding the
+counters the kernels bumped and any streaming metrics — then clears
+its tracer. The parent merges the snapshot into its active tracer's
+registry (counter sums and histogram merges are associative, so
+worker/batch arrival order does not matter): a ``"processes"`` run
+reports the same counter and metric names as ``threads``/``serial``.
+With tracing disabled nothing is collected and the reply carries
+``None``.
 
 Failure containment mirrors the thread executor: the parent collects a
 reply from **every** worker it dispatched to before raising, so by the
@@ -219,14 +220,12 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
             finally:
                 if collect:
                     _set_active(prev_tracer)
+            msnap = None
             if collect:
-                counters = wtracer.counters()
                 msnap = wtracer.metrics.snapshot()
                 wtracer.clear()
-            else:
-                counters = msnap = None
             try:
-                conn.send(("done", batch, results, counters, msnap))
+                conn.send(("done", batch, results, msnap))
             except (BrokenPipeError, OSError):
                 break
     finally:
@@ -417,7 +416,7 @@ class ProcessPool:
                 self._mark_dead(w)
                 failures.extend(TaskFailure(tid, err) for tid in tids)
                 continue
-            _, _, results, counters, msnap = msg
+            _, _, results, msnap = msg
             for tid, pid, dur_ns, err in results:
                 if tracer.enabled:
                     tracer.record_span(label, dur_ns, tid=tid, pid=pid)
@@ -427,13 +426,10 @@ class ProcessPool:
                     ).record(dur_ns)
                 if err is not None:
                     failures.append(TaskFailure(tid, err))
-            # Fold the worker's per-batch deltas into the parent: the
+            # Fold the worker's per-batch delta into the parent: the
             # counters kernels bumped worker-side (they would otherwise
             # vanish — only spans are re-emitted above) and any
             # streaming metrics recorded in the worker.
-            if tracer.enabled and counters:
-                for cname, value in counters.items():
-                    tracer.count(cname, value)
             if tracer.enabled and msnap:
                 tracer.metrics.merge_snapshot(msnap)
         if failures:

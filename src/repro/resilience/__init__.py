@@ -13,8 +13,8 @@ PR 4's differential fuzzer hardened the library against adversarial
   convention of :mod:`repro.formats.validate`; and
 * the **deterministic chaos plans** (:mod:`.chaos`): seed-derived
   per-``(batch, tid)`` exceptions, delays and submission reorders that
-  ``Executor(mode="chaos", plan=...)`` injects, so every failure path
-  is reachable from tests and from ``repro fuzz --chaos``.
+  ``Executor("threads"|"processes", plan=...)`` injects, so every
+  failure path is reachable from tests and from ``repro fuzz --chaos``.
 
 The containment machinery itself lives where the state lives —
 :mod:`repro.parallel.executor` (await/cancel + aggregation + serial

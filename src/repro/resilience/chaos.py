@@ -1,4 +1,4 @@
-"""Deterministic fault plans for the chaos executor backend.
+"""Deterministic fault plans for the parallel executor backends.
 
 The parallel drivers are data-race-free *by construction* — each task
 writes disjoint array regions — so no amount of scheduling chaos may

@@ -136,7 +136,7 @@ class OperatorClosedError(ExecutionError):
 
 
 class ChaosInjectedError(ExecutionError):
-    """The deterministic fault the chaos executor raises in place of
+    """The deterministic fault a chaos plan raises in place of
     running a task (see :class:`repro.resilience.chaos.ChaosPlan`)."""
 
     def __init__(self, batch: int, tid: int):

@@ -271,7 +271,7 @@ def build_unsymmetric(case_name: str, fmt: str, layout: str):
 
 
 def chaos_benign_executor(seed: int = 0):
-    """Chaos executor whose plan only perturbs scheduling.
+    """``threads`` executor whose fault plan only perturbs scheduling.
 
     Delays and reordered completions, no raised faults: tasks still
     write their disjoint regions and the reduction runs on the caller
@@ -282,7 +282,7 @@ def chaos_benign_executor(seed: int = 0):
     from repro.resilience import ChaosPlan
 
     return Executor(
-        "chaos",
+        "threads",
         plan=ChaosPlan(
             seed=seed, p_raise=0.0, p_delay=0.6, max_delay_ms=0.2,
             reorder=True,

@@ -4,10 +4,11 @@ The tentpole guarantee of the metrics subsystem: a ``processes`` run
 reports the *same* metric names and the *same* (bit-identical) kernel
 counter totals as a serial run. Counters are recorded deep inside the
 format kernels — under the process backend those execute in worker
-processes, whose tracer deltas come back in each batch reply and are
-folded into the parent; losing that fold silently drops every
+processes, whose registry snapshot comes back in each batch reply and
+is merged into the parent; losing that merge silently drops every
 worker-side ``tracer.count`` (the historical failure mode this file
-pins down).
+pins down). ``tracer.counters()`` is only a view of the registry's
+unlabeled counters, so both read the same numbers.
 
 Also covered here: the per-layer recorders (executor batch/task
 latency, bound-operator apply/traffic, solver per-iteration metrics)
@@ -73,10 +74,19 @@ def test_metric_names_and_counters_identical_across_backends(
     }
     serial_tracer, serial_snap = runs["serial"]
     serial_names = serial_tracer.metrics.metric_names()
-    assert sorted(EXPECTED_HISTOGRAMS) == serial_names
+    assert sorted(
+        {entry["name"] for entry in serial_snap["histograms"]}
+    ) == sorted(EXPECTED_HISTOGRAMS)
     serial_counters = serial_tracer.counters()
     assert serial_counters, "kernel counters must be recorded"
     for backend, (tracer, snap) in runs.items():
+        # One store: the tracer's counters are the snapshot's
+        # unlabeled counters, entry for entry.
+        unlabeled = {
+            entry["name"]: entry["value"]
+            for entry in snap["counters"] if not entry["labels"]
+        }
+        assert tracer.counters() == unlabeled, backend
         if backend == "serial":
             continue
         assert tracer.metrics.metric_names() == serial_names, backend

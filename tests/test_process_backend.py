@@ -11,7 +11,9 @@ invariants get their own regression suite:
 * an operator garbage-collected *without* ``close()`` still releases
   its segments through the arena/pool finalizers (while the existing
   ``bound_operator.unclosed_gc`` accounting fires);
-* worker-executed task spans are attributed with the worker ``pid``.
+* worker-executed task spans are attributed with the worker ``pid``;
+* a worker's ``done`` reply carries one metrics snapshot (counters
+  included) and nothing else to fold.
 """
 
 import gc
@@ -133,6 +135,25 @@ def test_worker_spans_carry_worker_pid():
     assert spans
     pids = {ev.attrs["pid"] for ev in spans}
     assert pids and os.getpid() not in pids
+
+
+def test_done_reply_carries_one_metrics_snapshot():
+    ex = Executor("processes", max_workers=2)
+    op = _bound(ex)
+    try:
+        conn = op._remote._conns[0]
+        conn.send(("run", 7, [0], True))
+        kind, batch, results, snap = conn.recv()
+        assert (kind, batch) == ("done", 7)
+        assert [tid for tid, *_ in results] == [0]
+        assert sorted(snap) == ["counters", "gauges", "histograms"]
+        names = {entry["name"] for entry in snap["counters"]}
+        assert "scatter.full_elems" in names
+        conn.send(("run", 8, [0], False))
+        assert conn.recv()[3] is None
+    finally:
+        op.close()
+        ex.close()
 
 
 def test_closure_caller_degrades_inline_with_warning():

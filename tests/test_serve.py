@@ -471,7 +471,7 @@ def test_chaos_under_load_completes_correct_or_typed():
     registry = OperatorRegistry()
     entry = registry.register(
         matrix, parts,
-        executor=Executor("chaos", plan=ChaosPlan(
+        executor=Executor("threads", plan=ChaosPlan(
             seed=11, p_raise=0.5, p_delay=0.3, max_delay_ms=0.1,
         )),
     )
@@ -503,7 +503,7 @@ def test_chaos_cg_under_load_correct():
     registry = OperatorRegistry()
     entry = registry.register(
         matrix, _spd_parts(matrix.n_rows),
-        executor=Executor("chaos", plan=ChaosPlan(
+        executor=Executor("threads", plan=ChaosPlan(
             seed=3, p_raise=0.4, p_delay=0.0,
         )),
     )
