@@ -24,7 +24,6 @@ from repro.formats import CSBSymMatrix, CSRMatrix, SSSMatrix
 from repro.machine import DUNNINGTON, predict_spmv
 from repro.matrices import get_entry
 from repro.parallel import (
-    ColoredSymmetricSpMV,
     ParallelCSBSymSpMV,
     ParallelSymmetricSpMV,
     coloring_stats,
@@ -97,7 +96,8 @@ def _verify_correctness():
     csbs = CSBSymMatrix(coo)
     assert np.allclose(ParallelCSBSymSpMV(csbs, n_threads=8)(x), ref)
 
-    assert np.allclose(ColoredSymmetricSpMV(sss)(x), ref)
+    with ParallelSymmetricSpMV(sss, parts, "coloring") as colored:
+        assert np.allclose(colored(x), ref)
 
 
 def test_related_methods(benchmark):

@@ -25,11 +25,9 @@ from repro.formats import CSBSymMatrix, CSRMatrix, SSSMatrix
 from repro.machine import DUNNINGTON, predict_spmv
 from repro.matrices import get_entry
 from repro.parallel import (
-    ColoredSymmetricSpMV,
     ParallelCSBSymSpMV,
     ParallelSymmetricSpMV,
     coloring_stats,
-    distance2_coloring,
     predict_colored_time,
     predict_csb_sym_time,
 )
@@ -77,9 +75,9 @@ def main() -> None:
     )
 
     # --- coloring (Batista et al.) -------------------------------------
-    colors = distance2_coloring(sss)
-    colored = ColoredSymmetricSpMV(sss, colors)
-    assert np.allclose(colored(x), reference)
+    with ParallelSymmetricSpMV(sss, parts, "coloring") as colored:
+        assert np.allclose(colored(x), reference)
+        colors = colored.reduction.schedule.colors
     stats = coloring_stats(colors)
     t_col = predict_colored_time(
         sss, colors, DUNNINGTON, threads, machine_scale=scale

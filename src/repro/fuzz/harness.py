@@ -43,7 +43,6 @@ from ..resilience import (
     BatchExecutionError,
     ChaosInjectedError,
     ChaosPlan,
-    PoisonedOperatorError,
 )
 from .generators import FuzzCase, generate_case, generate_mm_case
 from .oracle import check_against_oracle
@@ -396,12 +395,12 @@ def _check_coloring(case: FuzzCase) -> list[tuple[Combo, str]]:
     return []
 
 
-#: Exceptions that count as *contained* chaos outcomes: the executor,
-#: bound operator, or injected fault itself surfaced through the typed
-#: resilience taxonomy instead of corrupting the output.
+#: Exceptions that count as *contained* chaos outcomes: the executor or
+#: the injected fault itself surfaced through the typed resilience
+#: taxonomy instead of corrupting the output.
 _CONTAINED_ERRORS = frozenset(
     cls.__name__
-    for cls in (BatchExecutionError, PoisonedOperatorError, ChaosInjectedError)
+    for cls in (BatchExecutionError, ChaosInjectedError)
 )
 
 #: Typed out-of-core failures that count as contained outcomes of the

@@ -5,13 +5,11 @@ from ..resilience import (
     BatchExecutionError,
     ChaosPlan,
     OperatorClosedError,
-    PoisonedOperatorError,
     RemoteTaskError,
     WorkerCrashError,
 )
 from .bound import BoundOperator, BoundSpMV, BoundSymmetricSpMV
 from .coloring import (
-    ColoredSymmetricSpMV,
     ColoringSchedule,
     ColoringUnsupportedError,
     build_coloring_schedule,
@@ -44,7 +42,6 @@ __all__ = [
     "Executor",
     "ChaosPlan",
     "BatchExecutionError",
-    "PoisonedOperatorError",
     "OperatorClosedError",
     "WorkerCrashError",
     "RemoteTaskError",
@@ -66,7 +63,6 @@ __all__ = [
     "BoundOperator",
     "BoundSymmetricSpMV",
     "BoundSpMV",
-    "ColoredSymmetricSpMV",
     "ColoringSchedule",
     "ColoringUnsupportedError",
     "build_coloring_schedule",

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ..obs.tracer import Tracer, active as _active_tracer, warn as _obs_warn
-from ..resilience.errors import OperatorClosedError, PoisonedOperatorError
+from ..resilience.errors import OperatorClosedError
 
 __all__ = [
     "BoundOperator",
@@ -39,8 +39,6 @@ __all__ = [
     "compile_symmetric_tasks",
     "compile_unsymmetric_tasks",
 ]
-
-_POISON_POLICIES = ("recover", "raise")
 
 
 def _record_traffic(
@@ -186,11 +184,12 @@ class BoundOperator:
     blocking preserves the drop-in callable contract — every caller
     still gets the bit-identical result it would have gotten alone,
     just later — whereas a busy error would force retry loops into
-    every solver). ``recover()`` and ``close()`` take the same lock, so
-    neither can tear workspaces out from under an in-flight apply. The
-    returned workspace view is only guaranteed until the next apply
-    from *any* thread — concurrent callers must pass ``out=`` (or copy
-    under their own coordination) to keep a result.
+    every solver). Recovery from a failed apply and ``close()`` run
+    under the same lock, so neither can tear workspaces out from under
+    an in-flight apply. The returned workspace view is only guaranteed
+    until the next apply from *any* thread — concurrent callers must
+    pass ``out=`` (or copy under their own coordination) to keep a
+    result.
 
     Parameters
     ----------
@@ -199,16 +198,13 @@ class BoundOperator:
     k : int, optional
         Right-hand sides per application; ``None`` binds the 1-D
         SpM×V signature.
-    on_poison : {"recover", "raise"}
-        What a call after a failed/interrupted application does. A
-        fault mid-apply marks the operator *poisoned* (its workspaces
-        may hold partial writes). ``"recover"`` (default) fully
-        re-zeroes every workspace and proceeds, counting the event on
-        the ``resilience.operator_recovered`` warning counter;
-        ``"raise"`` fails with a typed
-        :class:`~repro.resilience.errors.PoisonedOperatorError` until
-        :meth:`recover` is called explicitly. Either way ``apply``
-        never returns a partially-written ``y``.
+
+    Failed applies: a fault mid-apply marks the operator *poisoned*
+    (its workspaces may hold partial writes), counted on the
+    ``resilience.operator_poisoned`` warning counter. The next call
+    re-zeroes every workspace in full under the apply lock, counts
+    ``resilience.operator_recovered`` and proceeds, so an apply never
+    returns a partially-written ``y``.
     """
 
     #: Set by the driver that caches this operator: it is closed with
@@ -216,30 +212,22 @@ class BoundOperator:
     #: not a leak and raises no ``ResourceWarning``.
     _owned = False
 
-    def __init__(
-        self, driver, k: Optional[int] = None, on_poison: str = "recover"
-    ):
+    def __init__(self, driver, k: Optional[int] = None):
         if k is not None:
             k = int(k)
             if k < 1:
                 raise ValueError(
                     f"need at least one right-hand side, got k={k}"
                 )
-        if on_poison not in _POISON_POLICIES:
-            raise ValueError(
-                f"on_poison must be one of {_POISON_POLICIES}, "
-                f"got {on_poison!r}"
-            )
         self.matrix = m = driver.matrix
         self.partitions = driver.partitions
         self.reduction = getattr(driver, "reduction", None)
         self.executor = driver.executor
         self.k = k
-        self.on_poison = on_poison
         self.n_calls = 0
         self._closed = False
         self._poisoned = False
-        # Serializes apply/recover/close: one set of persistent
+        # Serializes apply, recovery and close: one set of persistent
         # workspaces means applications are non-reentrant by design
         # (see the class docstring for the lock-vs-busy-error choice).
         self._apply_lock = threading.Lock()
@@ -287,8 +275,7 @@ class BoundOperator:
         *workspace* arena holding ``y``, the staged input slot and the
         reduction's local buffers. The parent's ``self._y`` /
         ``self._locals`` are re-pointed at arena views, so the existing
-        zero/reduce/recover machinery — and the serial fallback, which
-        runs the parent-side closures — operate on the very memory the
+        zero/reduce/recover machinery operates on the very memory the
         workers write.
         """
         from . import shm as _shm
@@ -356,10 +343,7 @@ class BoundOperator:
         """Execute the precompiled multiplication phase. Default: one
         batch over ``self._tasks``; the colored symmetric path overrides
         this with barrier-stepped execution."""
-        self.executor.run_batch(
-            self._tasks, label=label, reset=self._zero_workspaces,
-            remote=self._remote,
-        )
+        self.executor.run_batch(self._tasks, label, self._remote)
 
     def _finish(self) -> None:
         """Post-multiplication phase (the symmetric reduction)."""
@@ -376,48 +360,22 @@ class BoundOperator:
     @property
     def poisoned(self) -> bool:
         """True after a failed/interrupted application until the next
-        recovery (automatic under ``on_poison="recover"``, explicit via
-        :meth:`recover` otherwise)."""
+        call recovers it."""
         return self._poisoned
-
-    def recover(self) -> None:
-        """Clear the poisoned state: every workspace — output and
-        locals — is re-zeroed *in full* (not just the per-call
-        effective windows, which assume the previous call completed
-        cleanly). Counted on ``resilience.operator_recovered``. No-op
-        on a healthy operator."""
-        with self._apply_lock:
-            self._recover_locked()
-
-    def _recover_locked(self) -> None:
-        """Recovery body; the caller holds ``_apply_lock``."""
-        if self._closed:
-            raise OperatorClosedError(
-                "operator is closed; bind() a new one"
-            )
-        if not self._poisoned:
-            return
-        _obs_warn("resilience.operator_recovered")
-        self._full_rezero()
-        self._poisoned = False
 
     def _full_rezero(self) -> None:
         """Unconditional full-extent workspace clear (recovery path;
         the per-call :meth:`_zero_workspaces` may be window-restricted)."""
         self._y[...] = 0.0
 
-    def bind(self, k: Optional[int] = None, on_poison: Optional[str] = None):
+    def bind(self, k: Optional[int] = None):
         """Idempotent re-bind: returns ``self`` when the signature
         already matches, else binds a new operator over the same matrix,
         partitions, reduction and executor (so a bound operator can be
         passed anywhere a driver is expected)."""
-        if (
-            k == self.k
-            and not self._closed
-            and on_poison in (None, self.on_poison)
-        ):
+        if k == self.k and not self._closed:
             return self
-        return type(self)(self, k, on_poison=on_poison or self.on_poison)
+        return type(self)(self, k)
 
     def __call__(
         self, x: np.ndarray, out: Optional[np.ndarray] = None
@@ -427,9 +385,9 @@ class BoundOperator:
         Returns the workspace (overwritten by the next call) unless
         ``out`` is given, in which case the result is copied there.
 
-        Raises :class:`OperatorClosedError` after ``close()``, and —
-        under ``on_poison="raise"`` — :class:`PoisonedOperatorError`
-        after a failed application; see :meth:`recover`.
+        Raises :class:`OperatorClosedError` after ``close()``. After a
+        failed application the call first re-zeroes every workspace in
+        full (see the class docstring).
 
         Concurrent calls serialize on the operator's internal lock
         (workspaces are shared; see the class docstring) — each caller
@@ -441,12 +399,12 @@ class BoundOperator:
                     "operator is closed; bind() a new one"
                 )
             if self._poisoned:
-                if self.on_poison == "raise":
-                    raise PoisonedOperatorError(
-                        "operator poisoned by a failed apply; call "
-                        "recover() or bind with on_poison='recover'"
-                    )
-                self._recover_locked()
+                # Recovery: every workspace — output and locals — is
+                # re-zeroed *in full*, not just the per-call effective
+                # windows, which assume the previous call completed.
+                _obs_warn("resilience.operator_recovered")
+                self._full_rezero()
+                self._poisoned = False
             x = np.asarray(x, dtype=np.float64)
             if x.shape != self._x_shape:
                 raise ValueError(
@@ -648,10 +606,7 @@ class BoundSymmetricSpMV(BoundOperator):
             return
         from .coloring import run_colored_steps
 
-        run_colored_steps(
-            self.executor, self._tasks, label=label,
-            zero=self._zero_workspaces, remote=self._remote,
-        )
+        run_colored_steps(self.executor, self._tasks, label, self._remote)
 
     def _zero_workspaces(self) -> None:
         self._y[...] = 0.0

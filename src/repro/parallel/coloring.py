@@ -18,10 +18,10 @@ adjacency graph. This module provides
   two-level execution plan behind the ``"coloring"`` reduction strategy
   (color classes → nnz-balanced row batches, barrier between classes),
 - :func:`compile_colored_steps` / :func:`run_colored_steps` — task
-  compilation and barrier-stepped execution shared by the drivers, the
-  bound operators and the process-pool workers,
-- the original :class:`ColoredSymmetricSpMV` prototype and the
-  :func:`predict_colored_time` roofline account.
+  compilation and barrier-stepped execution shared by the bound
+  operators and the process-pool workers,
+- :func:`coloring_stats` and the :func:`predict_colored_time` roofline
+  account.
 
 The paper's observation — "the geometry of the graphs limits the
 potential of this approach" — falls out naturally: the number of colors
@@ -49,7 +49,6 @@ __all__ = [
     "build_coloring_schedule",
     "compile_colored_steps",
     "run_colored_steps",
-    "ColoredSymmetricSpMV",
     "coloring_stats",
     "predict_colored_time",
     "BARRIER_CYCLES",
@@ -487,43 +486,21 @@ def compile_colored_steps(
 
 
 def run_colored_steps(
-    executor,
-    steps: list,
-    *,
-    label: Optional[str] = None,
-    zero: Optional[Callable[[], None]] = None,
-    remote=None,
+    executor, steps: list, label: Optional[str] = None, remote=None
 ) -> None:
     """Execute compiled colored steps: one ``run_batch`` per step (the
     inter-class barrier — both the thread pool and the process pool
-    return only after every task of the batch completed).
-
-    The per-step reset hook re-zeroes the workspaces *and replays every
-    completed earlier step serially* before the executor's
-    ``fallback="serial"`` retry reruns the failed step — a plain re-zero
-    would wipe the earlier classes' contributions.
-    """
-    done: list = []
+    return only after every task of the batch completed). A failed step
+    raises out of here; the bound operator that owns ``steps`` is then
+    poisoned and re-zeroes in full on its next call."""
     tid_base = 0
     for tasks in steps:
-        def step_reset(_done=tuple(done)):
-            if zero is not None:
-                zero()
-            for t in _done:
-                t()
-        executor.run_batch(
-            tasks,
-            label=label,
-            reset=step_reset,
-            remote=remote,
-            tid_base=tid_base,
-        )
-        done.extend(tasks)
+        executor.run_batch(tasks, label, remote, tid_base)
         tid_base += len(tasks)
 
 
 # ---------------------------------------------------------------------------
-# Coloring structure statistics + the original prototype kernel
+# Coloring structure statistics
 # ---------------------------------------------------------------------------
 
 
@@ -550,67 +527,6 @@ def coloring_stats(colors: np.ndarray) -> ColoringStats:
         smallest_class=int(counts.min()),
         mean_class=float(counts.mean()),
     )
-
-
-class ColoredSymmetricSpMV:
-    """Barrier-per-color symmetric SpM×V kernel (serial prototype).
-
-    All rows of one color are processed (vectorized) with direct writes
-    to the shared output vector — provably race-free by the coloring —
-    then a barrier, then the next color. The production path is the
-    ``"coloring"`` reduction strategy (see
-    :class:`repro.parallel.reduction.ColoringReduction`), which batches
-    classes over threads/processes; this class remains the minimal
-    reference implementation.
-    """
-
-    def __init__(self, sss: SSSMatrix, colors: Optional[np.ndarray] = None):
-        self.sss = sss
-        self.colors = (
-            colors if colors is not None else distance2_coloring(sss)
-        )
-        if self.colors.shape != (sss.n_rows,):
-            raise ValueError("colors must assign one color per row")
-        order = np.argsort(self.colors, kind="stable")
-        counts = np.bincount(self.colors)
-        self.class_offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.class_offsets[1:])
-        self.rows_by_color = order
-
-    @property
-    def n_colors(self) -> int:
-        return int(self.class_offsets.size - 1)
-
-    def __call__(
-        self, x: np.ndarray, y: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        sss = self.sss
-        x = np.asarray(x, dtype=np.float64)
-        if y is None:
-            y = np.zeros(sss.n_rows, dtype=np.float64)
-        else:
-            y[:] = 0.0
-        rowptr, colind, values = sss.rowptr, sss.colind, sss.values
-        for k in range(self.n_colors):
-            rows = self.rows_by_color[
-                self.class_offsets[k] : self.class_offsets[k + 1]
-            ]
-            y[rows] += sss.dvalues[rows] * x[rows]
-            # Gather the class's stored elements.
-            lo = rowptr[rows]
-            hi = rowptr[rows + 1]
-            lens = (hi - lo).astype(np.int64)
-            if lens.sum() == 0:
-                continue
-            idx = np.concatenate(
-                [np.arange(a, b, dtype=np.int64) for a, b in zip(lo, hi)]
-            )
-            erows = np.repeat(rows, lens)
-            c = colind[idx].astype(np.int64)
-            v = values[idx]
-            np.add.at(y, erows, v * x[c])
-            np.add.at(y, c, v * x[erows])
-        return y
 
 
 def predict_colored_time(

@@ -19,14 +19,12 @@ multiplication phase and the reduction phase). Three backends exist:
   kernels do overlap on two cores; wall-clock scaling on the host
   still says nothing about the paper's platforms.
 * ``processes`` — GIL-free true parallelism over
-  ``multiprocessing.shared_memory`` workspaces. The backend engages
+  ``multiprocessing.shared_memory`` workspaces. The backend runs only
   through a bound operator (whose ``bind`` builds the segments and the
   long-lived worker pool; see DESIGN.md §4g), which is how both
-  parallel drivers apply, plain ``driver(x)`` calls included. Per-call
-  closures cannot cross a process boundary, so a caller that hands
-  ``run_batch`` closures without a ``remote`` (the CSB-Sym comparator)
-  degrades to the thread path with a one-time
-  ``executor.processes_inline`` warning.
+  parallel drivers apply, plain ``driver(x)`` calls included. Closures
+  cannot cross a process boundary, so ``run_batch`` on a ``processes``
+  executor without a ``remote`` pool raises ``ValueError``.
 
 Either parallel backend takes a ``plan=``
 :class:`~repro.resilience.chaos.ChaosPlan` injecting deterministic
@@ -34,16 +32,15 @@ per-task exceptions, delays and submission reorders, so every failure
 path of the containment machinery is reachable in tests and from
 ``repro fuzz --chaos``; ``processes`` fires them inside the workers.
 
-Failure containment (all parallel backends): when any task raises,
-``run_batch`` first awaits every running sibling and cancels every
-unstarted one — so no task can keep mutating shared output buffers
-after the call returns — then raises one
+Failure containment (all parallel backends): ``run_batch`` runs the
+batch or raises. When any task raises, it first awaits every running
+sibling and cancels every unstarted one — so no task can keep mutating
+shared output buffers after the call returns — then raises one
 :class:`~repro.resilience.errors.BatchExecutionError` aggregating every
-task's exception with its ``tid`` and the batch label. An optional
-``fallback="serial"`` mode degrades gracefully: the failed batch is
-retried once serially (after the caller-supplied ``reset`` re-zeroes
-any partially-written workspaces), counted on the
-``resilience.serial_fallback`` warning counter.
+task's exception with its ``tid`` and the batch label. Recovery is the
+caller's: a bound operator re-zeroes its poisoned workspaces on its
+next call, and the serving layer retries a failed request on its
+serial reference driver.
 """
 
 from __future__ import annotations
@@ -86,9 +83,6 @@ class Executor:
         reordered; on ``processes`` raise/delay faults fire inside the
         workers and the dispatch order is perturbed in the parent.
         Rejected for ``serial``.
-    fallback : {None, "serial"}
-        ``"serial"`` retries a failed batch once, serially, after
-        re-zeroing workspaces through the caller's ``reset`` hook.
 
     Construction is fail-fast: an unknown mode, an unusable backend
     (``processes`` without working shared memory) or a misplaced
@@ -102,7 +96,6 @@ class Executor:
         max_workers: Optional[int] = None,
         *,
         plan: Optional[ChaosPlan] = None,
-        fallback: Optional[str] = None,
     ):
         if mode not in _MODES:
             raise ValueError(
@@ -114,8 +107,6 @@ class Executor:
             raise ValueError(
                 f"plan= is only meaningful with mode in {_PLAN_MODES}"
             )
-        if fallback not in (None, "serial"):
-            raise ValueError(f"unknown fallback {fallback!r}")
         if mode == "processes" and not _shm_available():
             raise ValueError(
                 "executor mode 'processes' needs working "
@@ -125,10 +116,8 @@ class Executor:
         self.mode = mode
         self.max_workers = max_workers
         self.plan = plan
-        self.fallback = fallback
         self.n_batches = 0
         self._pool: Optional[_ThreadPool] = None
-        self._warned_inline = False
         # Guards the batch-id counter and the pool lifecycle. Two
         # concurrent run_batch callers must never observe the same batch
         # id (it seeds chaos-plan fault derivation and trace/metric
@@ -140,7 +129,6 @@ class Executor:
         self,
         tasks: Sequence[Callable[[], None]],
         label: Optional[str] = None,
-        reset: Optional[Callable[[], None]] = None,
         remote=None,
         tid_base: int = 0,
     ) -> Optional[int]:
@@ -167,20 +155,14 @@ class Executor:
         ``remote`` is the ``processes`` dispatch handle — a
         :class:`~repro.parallel.procpool.ProcessPool` a bound operator
         passes in, whose workers execute the *shared-memory* mirror of
-        ``tasks`` by index. ``tasks`` itself stays authoritative for
-        the serial fallback path, which runs the parent-side closures
-        over the very same shared arrays. A ``processes`` executor
-        called without ``remote`` (a closure caller such as
-        :class:`~repro.parallel.csb_spmv.ParallelCSBSymSpMV`) degrades
-        to the ``threads`` path and counts ``executor.processes_inline``
-        once.
+        ``tasks`` by index. A ``processes`` executor requires it:
+        without one, ``run_batch`` raises ``ValueError`` before running
+        anything.
 
         On failure every running sibling is awaited and every unstarted
         one cancelled first, then a single :class:`BatchExecutionError`
-        aggregates all task exceptions — by the time it propagates, nothing from this batch
-        is still writing. ``reset`` is only invoked before the
-        ``fallback="serial"`` retry, to restore partially-written
-        workspaces to their pre-batch state.
+        aggregates all task exceptions — by the time it propagates,
+        nothing from this batch is still writing. There is no retry.
 
         ``tid_base`` offsets the task ids this batch reports (trace
         spans, chaos-plan derivation, remote dispatch). The colored
@@ -216,47 +198,21 @@ class Executor:
                     for i, task in enumerate(tasks)
                 ]
 
-        try:
-            if self.mode == "processes" and remote is not None:
-                remote.run(
-                    batch,
-                    len(tasks),
-                    [tid_base + i for i in order],
-                    label=name,
+        if self.mode == "processes":
+            if remote is None:
+                raise ValueError(
+                    "a 'processes' executor runs only a bound operator's "
+                    "shared-memory tasks (remote=); closures cannot cross "
+                    "a process boundary"
                 )
-            else:
-                if self.mode == "processes" and not self._warned_inline:
-                    # Closures cannot cross a process boundary; only
-                    # bound operators carry the shared-memory state the
-                    # workers need. Degrade loudly, once.
-                    self._warned_inline = True
-                    _obs_warn("executor.processes_inline")
-                self._run_pooled(
-                    self._instrumented(tracer, name, tid_base, exec_tasks),
-                    order, name, batch,
-                )
-        except BatchExecutionError:
-            if self.fallback != "serial":
-                raise
-            # Graceful degradation: one warning-counted serial retry of
-            # the *original* tasks (no chaos wrapping — an injected
-            # fault is a backend property, not a task property).
-            _obs_warn("resilience.serial_fallback")
-            if tracer.enabled:
-                tracer.event("batch.fallback", label=name, batch=batch)
-            if reset is not None:
-                reset()
-            tid = 0
-            try:
-                for tid, task in enumerate(
-                    self._instrumented(tracer, name, tid_base, tasks)
-                ):
-                    task()
-            except BaseException as exc:
-                raise BatchExecutionError(
-                    name, batch, [TaskFailure(tid_base + tid, exc)],
-                    n_tasks=len(tasks),
-                ) from exc
+            remote.run(
+                batch, len(tasks), [tid_base + i for i in order], label=name
+            )
+        else:
+            self._run_pooled(
+                self._instrumented(tracer, name, tid_base, exec_tasks),
+                order, name, batch,
+            )
         if traced:
             self._record_batch(tracer, name, t0)
         return batch

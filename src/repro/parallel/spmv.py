@@ -66,14 +66,12 @@ class _Driver:
     def n_threads(self) -> int:
         return len(self.partitions)
 
-    def bind(
-        self, k: Optional[int] = None, on_poison: str = "recover"
-    ) -> BoundOperator:
+    def bind(self, k: Optional[int] = None) -> BoundOperator:
         """A new :class:`~repro.parallel.bound.BoundOperator` for ``k``
         right-hand sides (``None`` = 1-D SpM×V): persistent workspaces,
         precompiled tasks and scatters. The caller owns it and must
-        close it. ``on_poison`` selects the failed-apply policy."""
-        return self._bound_type(self, k, on_poison=on_poison)
+        close it."""
+        return self._bound_type(self, k)
 
     def operator(self, k: Optional[int] = None) -> BoundOperator:
         """The driver's own operator for ``k``: bound on first use,

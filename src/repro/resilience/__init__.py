@@ -7,8 +7,8 @@ PR 4's differential fuzzer hardened the library against adversarial
 * the **typed execution-failure taxonomy** (:mod:`.errors`):
   :class:`BatchExecutionError` (a task batch failed after full
   containment — every sibling awaited or cancelled),
-  :class:`PoisonedOperatorError` / :class:`OperatorClosedError` (a
-  bound operator applied from an unsafe state), all
+  :class:`OperatorClosedError` (a bound operator applied after
+  ``close()``), all
   ``RuntimeError``-catchable, mirroring the ``ValidationError``
   convention of :mod:`repro.formats.validate`; and
 * the **deterministic chaos plans** (:mod:`.chaos`): seed-derived
@@ -17,9 +17,11 @@ PR 4's differential fuzzer hardened the library against adversarial
   failure path is reachable from tests and from ``repro fuzz --chaos``.
 
 The containment machinery itself lives where the state lives —
-:mod:`repro.parallel.executor` (await/cancel + aggregation + serial
-fallback), :mod:`repro.parallel.bound` (workspace poisoning and
-recovery) and :mod:`repro.solvers` (breakdown diagnoses) — and records
+:mod:`repro.parallel.executor` (await/cancel + aggregation; a
+batch runs or raises, with no retry), :mod:`repro.parallel.bound`
+(workspace poisoning and automatic recovery on the next call), the
+serving layer's per-request serial retry (:mod:`repro.serve.server`)
+and :mod:`repro.solvers` (breakdown diagnoses) — and records
 ``resilience.*`` warning counters through :mod:`repro.obs`. See
 DESIGN.md §4f for the failure model.
 """
@@ -30,7 +32,6 @@ from .errors import (
     ChaosInjectedError,
     ExecutionError,
     OperatorClosedError,
-    PoisonedOperatorError,
     RemoteTaskError,
     TaskFailure,
     WorkerCrashError,
@@ -44,7 +45,6 @@ __all__ = [
     "ExecutionError",
     "TaskFailure",
     "BatchExecutionError",
-    "PoisonedOperatorError",
     "OperatorClosedError",
     "ChaosInjectedError",
     "WorkerCrashError",

@@ -18,8 +18,6 @@ taxon.
                               sibling tasks were awaited/cancelled
                               before this was raised (containment)
 :class:`TaskFailure`          per-task record inside a batch error
-:class:`PoisonedOperatorError`  a bound operator was applied after a
-                              failed/interrupted call without recovery
 :class:`OperatorClosedError`  a bound operator was applied after
                               ``close()``
 :class:`ChaosInjectedError`   the deterministic fault the chaos
@@ -45,7 +43,6 @@ __all__ = [
     "ExecutionError",
     "TaskFailure",
     "BatchExecutionError",
-    "PoisonedOperatorError",
     "OperatorClosedError",
     "ChaosInjectedError",
     "WorkerCrashError",
@@ -121,13 +118,6 @@ class BatchExecutionError(ExecutionError):
             (self.label, self.batch, self.failures,
              self.n_tasks, self.n_cancelled),
         )
-
-
-class PoisonedOperatorError(ExecutionError):
-    """A bound operator was applied after a failed call, with the
-    ``on_poison="raise"`` policy: its workspaces may hold partial
-    writes from the interrupted application and must be re-zeroed
-    (``recover()``) before the operator computes again."""
 
 
 class OperatorClosedError(ExecutionError):

@@ -7,7 +7,6 @@ from repro.formats import COOMatrix, SSSMatrix
 from repro.machine import DUNNINGTON
 from repro.matrices import banded_random, dense_clustered
 from repro.parallel import (
-    ColoredSymmetricSpMV,
     coloring_stats,
     distance2_coloring,
     predict_colored_time,
@@ -57,35 +56,6 @@ def test_color_count_grows_with_degree(rng):
     assert n_dense > 2 * n_sparse  # "geometry limits the potential"
 
 
-def test_colored_spmv_matches_dense(sym_dense_medium, rng):
-    coo = COOMatrix.from_dense(sym_dense_medium)
-    sss = SSSMatrix.from_coo(coo)
-    kernel = ColoredSymmetricSpMV(sss)
-    x = rng.standard_normal(coo.n_cols)
-    assert np.allclose(kernel(x), sym_dense_medium @ x)
-
-
-def test_colored_spmv_with_precomputed_colors(sparse_sss, rng):
-    colors = distance2_coloring(sparse_sss)
-    kernel = ColoredSymmetricSpMV(sparse_sss, colors)
-    x = rng.standard_normal(sparse_sss.n_cols)
-    assert np.allclose(kernel(x), sparse_sss.spmv(x))
-
-
-def test_colored_output_reuse(sparse_sss, rng):
-    kernel = ColoredSymmetricSpMV(sparse_sss)
-    x = rng.standard_normal(sparse_sss.n_cols)
-    y = np.full(sparse_sss.n_rows, 7.0)
-    out = kernel(x, y)
-    assert out is y
-    assert np.allclose(y, sparse_sss.spmv(x))
-
-
-def test_bad_colors_shape_rejected(sparse_sss):
-    with pytest.raises(ValueError):
-        ColoredSymmetricSpMV(sparse_sss, np.zeros(3, dtype=np.int64))
-
-
 def test_stats_fields(sparse_sss):
     stats = coloring_stats(distance2_coloring(sparse_sss))
     assert stats.n_colors >= 1
@@ -125,6 +95,31 @@ from repro.parallel import (  # noqa: E402
 
 def _parts(sss, p):
     return partition_nnz_balanced(sss.expanded_row_nnz(), p)
+
+
+def test_colored_spmv_matches_dense(sym_dense_medium, rng):
+    sss = SSSMatrix.from_coo(COOMatrix.from_dense(sym_dense_medium))
+    x = rng.standard_normal(sss.n_cols)
+    with ParallelSymmetricSpMV(sss, _parts(sss, 3), "coloring") as kernel:
+        assert np.allclose(kernel(x), sym_dense_medium @ x)
+
+
+def test_colored_output_reuse(sparse_sss, rng):
+    x = rng.standard_normal(sparse_sss.n_cols)
+    y = np.full(sparse_sss.n_rows, 7.0)
+    parts = _parts(sparse_sss, 3)
+    with ParallelSymmetricSpMV(sparse_sss, parts, "coloring") as kernel:
+        out = kernel(x, y)
+    assert out is y
+    assert np.allclose(y, sparse_sss.spmv(x))
+
+
+def test_bad_colors_shape_rejected(sparse_sss):
+    bad = np.zeros(3, dtype=np.int64)
+    with pytest.raises(ValueError, match="one color per row"):
+        build_coloring_schedule(sparse_sss, 4, colors=bad)
+    with pytest.raises(ValueError, match="one color per row"):
+        verify_coloring(sparse_sss, bad)
 
 
 def test_schedule_covers_every_row_exactly_once(sparse_sss):

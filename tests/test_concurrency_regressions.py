@@ -33,6 +33,7 @@ import pytest
 
 from repro.formats.base import FLAT_CACHE_MAX, RowScatter
 from repro.parallel import Executor, ParallelSymmetricSpMV
+from repro.resilience import BatchExecutionError, ChaosPlan
 
 from tests.conformance import build_symmetric, rhs_block
 
@@ -167,31 +168,49 @@ def test_bound_operator_concurrent_apply_bit_exact(
 
 
 def test_bound_operator_recover_during_applies(fast_switching):
-    """recover() from a second thread must serialize against applies
-    instead of re-zeroing workspaces mid-computation."""
+    """Two threads apply one operator on an executor whose fault plan
+    fails some batches. Each failure poisons the operator and the next
+    call recovers it; recovery runs under the apply lock, so it never
+    re-zeroes workspaces in the middle of the other thread's apply:
+    every apply that returns is bit-identical to the serial one."""
     matrix, parts = build_symmetric("random", "sss", "thirds")
-    driver = ParallelSymmetricSpMV(matrix, parts, "indexed")
-    op = driver.bind()
-    serial = ParallelSymmetricSpMV(matrix, parts, driver.reduction)
+    serial = ParallelSymmetricSpMV(matrix, parts, "indexed")
     x = rhs_block(matrix.n_rows, None, seed=5)
     ref = serial(x)
-    stop = threading.Event()
+    plan = ChaosPlan(11, p_raise=0.3, p_delay=0.3, max_delay_ms=0.2)
+    ex = Executor("threads", 2, plan=plan)
+    op = ParallelSymmetricSpMV(
+        matrix, parts, serial.reduction, executor=ex
+    ).bind()
+    outcomes: list = []
+    failures: list = []
 
-    def recoverer() -> None:
-        while not stop.is_set():
-            op.recover()
-
-    t = threading.Thread(target=recoverer)
-    t.start()
-    try:
+    def worker(slot: int) -> None:
         out = np.empty_like(ref)
-        for _ in range(50):
-            op(x, out=out)
-            assert np.array_equal(out, ref)
+        for i in range(40):
+            try:
+                op(x, out=out)
+            except BatchExecutionError:
+                outcomes.append("failed")
+                continue
+            outcomes.append("ok")
+            if not np.array_equal(out, ref):
+                failures.append(f"thread {slot} iter {i}")
+                return
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(2)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     finally:
-        stop.set()
-        t.join()
         op.close()
+        ex.close()
+    assert not failures, failures[0]
+    assert {"ok", "failed"} <= set(outcomes)
 
 
 # ----------------------------------------------------------------------

@@ -7,13 +7,16 @@ invariants get their own regression suite:
 
 * ``close()`` ends with **zero** registered segments and no
   ``ResourceWarning``;
-* a chaos poison → ``recover()`` cycle neither leaks nor corrupts;
+* a chaos poison → automatic-recovery cycle neither leaks nor
+  corrupts;
 * an operator garbage-collected *without* ``close()`` still releases
   its segments through the arena/pool finalizers (while the existing
   ``bound_operator.unclosed_gc`` accounting fires);
 * worker-executed task spans are attributed with the worker ``pid``;
 * a worker's ``done`` reply carries one metrics snapshot (counters
-  included) and nothing else to fold.
+  included) and nothing else to fold;
+* closures never reach the backend: a closure batch and the CSB-Sym
+  comparator are rejected before any segment exists.
 """
 
 import gc
@@ -84,17 +87,16 @@ def test_chaos_poison_recover_cycle_is_leak_free():
     matrix, parts = build_symmetric("random", "sss", "thirds")
     plan = _poison_plan(len(parts))
     ex = Executor("processes", max_workers=2, plan=plan)
-    op = ParallelSymmetricSpMV(
-        matrix, parts, "indexed", executor=ex
-    ).bind(on_poison="raise")
+    op = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex).bind()
     x = rhs_block(matrix.n_cols, None)
     try:
         with pytest.raises(BatchExecutionError):
             op(x)  # batch 0: every worker raises the injected fault
         assert op.poisoned
-        op.recover()
+        # Batch 1 draws no fault: the call re-zeroes in full, then
+        # computes in the workers.
+        y = np.array(op(x))
         assert not op.poisoned
-        y = np.array(op(x))  # batch 1 draws no fault
         assert np.allclose(y, reference_product("random", x))
     finally:
         op.close()
@@ -156,25 +158,24 @@ def test_done_reply_carries_one_metrics_snapshot():
         ex.close()
 
 
-def test_closure_caller_degrades_inline_with_warning():
-    reset_warning_counts()
+def test_csb_comparator_rejects_processes():
     matrix, parts = build_symmetric("random", "csb-sym", "thirds")
-    ex = Executor("processes", max_workers=2)
-    try:
-        kernel = ParallelCSBSymSpMV(matrix, parts, executor=ex)
-        x = rhs_block(matrix.n_cols, None)
-        # Per-call closures carry no shared-memory state → thread-pool
-        # degrade, counted exactly once across repeated applications.
-        for _ in range(2):
-            assert np.allclose(kernel(x), reference_product("random", x))
-    finally:
-        ex.close()
-    assert warning_counts().get("executor.processes_inline") == 1
+    with Executor("processes", max_workers=2) as ex:
+        with pytest.raises(ValueError, match="'serial' or 'threads'"):
+            ParallelCSBSymSpMV(matrix, parts, executor=ex)
+    assert live_segments() == []
+
+
+def test_closure_batch_without_remote_raises():
+    ran = []
+    with Executor("processes", max_workers=2) as ex:
+        with pytest.raises(ValueError, match="closures"):
+            ex.run_batch([lambda: ran.append(1)])
+    assert ran == []
     assert live_segments() == []
 
 
 def test_plain_driver_call_runs_in_workers():
-    reset_warning_counts()
     matrix, parts = build_symmetric("random", "sss", "thirds")
     x = rhs_block(matrix.n_cols, None)
     serial = ParallelSymmetricSpMV(matrix, parts, "indexed")(x)
@@ -195,7 +196,6 @@ def test_plain_driver_call_runs_in_workers():
         if ev.name == "spmv.mult.task"
     }
     assert pids and os.getpid() not in pids
-    assert "executor.processes_inline" not in warning_counts()
     assert live_segments() == []
 
 

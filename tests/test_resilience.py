@@ -5,9 +5,9 @@ Covers the resilience taxonomy end to end:
 * :class:`ChaosPlan` — deterministic fault derivation, validation,
   explicit overrides;
 * ``Executor`` containment — typed :class:`BatchExecutionError`
-  aggregation, sibling await/cancel, ``fallback="serial"`` degradation;
-* bound-operator poisoning — auto-recovery vs ``on_poison="raise"``,
-  full-extent workspace re-zeroing, :class:`OperatorClosedError`;
+  aggregation, sibling await/cancel;
+* bound-operator poisoning — automatic recovery with full-extent
+  workspace re-zeroing on the next call, :class:`OperatorClosedError`;
 * the containment property itself, as a hypothesis sweep over fault
   plans: every application either raises a typed resilience error or
   returns output bit-identical to the serial execution.
@@ -36,7 +36,6 @@ from repro.resilience import (
     ExecutionError,
     FaultSpec,
     OperatorClosedError,
-    PoisonedOperatorError,
     WorkerCrashError,
 )
 
@@ -47,7 +46,7 @@ from tests.conformance import (
     rhs_block,
 )
 
-CONTAINED = (BatchExecutionError, PoisonedOperatorError, ChaosInjectedError)
+CONTAINED = (BatchExecutionError, ChaosInjectedError)
 
 
 # ----------------------------------------------------------------------
@@ -115,11 +114,6 @@ def test_plan_rejected_outside_chaos_mode():
         assert threads.plan is not None
 
 
-def test_unknown_fallback_rejected():
-    with pytest.raises(ValueError):
-        Executor("threads", fallback="retry-forever")
-
-
 # ----------------------------------------------------------------------
 # Executor containment
 # ----------------------------------------------------------------------
@@ -158,7 +152,6 @@ def test_batch_error_aggregates_all_failures():
 
 def test_batch_error_is_typed_execution_error():
     assert issubclass(BatchExecutionError, ExecutionError)
-    assert issubclass(PoisonedOperatorError, ExecutionError)
     assert issubclass(OperatorClosedError, ExecutionError)
     assert issubclass(ChaosInjectedError, ExecutionError)
     assert issubclass(ExecutionError, RuntimeError)
@@ -182,32 +175,6 @@ def test_batch_failure_counts_warning():
         with pytest.raises(BatchExecutionError):
             ex.run_batch([lambda: None] * 2)
     assert warning_counts().get("resilience.batch_failure") == 1
-
-
-def test_serial_fallback_recovers_batch():
-    reset_warning_counts()
-    plan = _raise_all_plan(4, batches=1)
-    ran = []
-    resets = []
-    tasks = [lambda i=i: ran.append(i) for i in range(4)]
-    with Executor("threads", plan=plan, fallback="serial") as ex:
-        ex.run_batch(tasks, reset=lambda: resets.append(True))
-    # The retry ran every *original* task (unwrapped) after reset().
-    assert sorted(ran) == [0, 1, 2, 3]
-    assert resets == [True]
-    assert warning_counts().get("resilience.serial_fallback") == 1
-
-
-def test_serial_fallback_still_fails_on_genuine_error():
-    plan = _raise_all_plan(1, batches=1)
-
-    def genuinely_broken():
-        raise ZeroDivisionError("task bug, not chaos")
-
-    with Executor("threads", plan=plan, fallback="serial") as ex:
-        with pytest.raises(BatchExecutionError) as exc_info:
-            ex.run_batch([genuinely_broken])
-    assert isinstance(exc_info.value.first, ZeroDivisionError)
 
 
 def test_chaos_delay_only_matches_threads_semantics():
@@ -251,30 +218,15 @@ def test_unsymmetric_driver_contains_injected_fault():
         ex.close()
 
 
-def test_driver_fallback_serial_degrades_gracefully():
-    reset_warning_counts()
-    matrix, parts = build_symmetric("random", "sss", "thirds")
-    x = rhs_block(matrix.n_cols, None)
-    plan = _raise_all_plan(len(parts), batches=1)
-    ex = Executor("threads", plan=plan, fallback="serial")
-    try:
-        kernel = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex)
-        y = kernel(x)  # faulted batch degrades to one serial retry
-    finally:
-        ex.close()
-    assert np.allclose(y, reference_product("random", x))
-    assert warning_counts().get("resilience.serial_fallback") == 1
-
-
 # ----------------------------------------------------------------------
 # Bound-operator poisoning
 # ----------------------------------------------------------------------
-def _bound_with_faults(fmt="sss", on_poison="recover", batches=1):
+def _bound_with_faults(fmt="sss", batches=1):
     matrix, parts = build_symmetric("random", fmt, "thirds")
     plan = _raise_all_plan(len(parts), batches=batches)
     ex = Executor("threads", plan=plan)
     driver = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex)
-    return driver.bind(on_poison=on_poison), ex
+    return driver.bind(), ex
 
 
 def test_failed_apply_poisons_operator():
@@ -292,12 +244,12 @@ def test_failed_apply_poisons_operator():
 
 def test_poisoned_operator_auto_recovers():
     reset_warning_counts()
-    op, ex = _bound_with_faults(on_poison="recover")
+    op, ex = _bound_with_faults()
     x = rhs_block(op.matrix.n_cols, None)
     try:
         with pytest.raises(BatchExecutionError):
             op(x)
-        # Default policy: the next call re-zeroes in full and computes.
+        # The next call re-zeroes in full and computes.
         y = op(x)
         assert not op.poisoned
         assert np.allclose(y, reference_product("random", x))
@@ -308,39 +260,20 @@ def test_poisoned_operator_auto_recovers():
         ex.close()
 
 
-def test_poisoned_operator_raise_policy():
-    op, ex = _bound_with_faults(on_poison="raise")
-    x = rhs_block(op.matrix.n_cols, None)
-    try:
-        with pytest.raises(BatchExecutionError):
-            op(x)
-        with pytest.raises(PoisonedOperatorError):
-            op(x)
-        op.recover()
-        assert not op.poisoned
-        y = op(x)
-        assert np.allclose(y, reference_product("random", x))
-    finally:
-        op.close()
-        ex.close()
-
-
 def test_recover_is_noop_on_healthy_operator():
+    """Only a poisoned operator re-zeroes in full: clean applies count
+    no recovery."""
     reset_warning_counts()
     matrix, parts = build_symmetric("random", "sss", "thirds")
     op = ParallelSymmetricSpMV(matrix, parts, "indexed").bind()
+    x = rhs_block(matrix.n_cols, None)
     try:
-        op.recover()
+        op(x)
+        op(x)
+        assert not op.poisoned
         assert "resilience.operator_recovered" not in warning_counts()
     finally:
         op.close()
-
-
-def test_invalid_poison_policy_rejected():
-    matrix, parts = build_symmetric("random", "sss", "thirds")
-    driver = ParallelSymmetricSpMV(matrix, parts, "indexed")
-    with pytest.raises(ValueError):
-        driver.bind(on_poison="ignore")
 
 
 def test_apply_after_close_is_typed():
@@ -352,8 +285,6 @@ def test_apply_after_close_is_typed():
         op(x)
     with pytest.raises(RuntimeError):  # old call sites keep working
         op(x)
-    with pytest.raises(OperatorClosedError):
-        op.recover()
 
 
 def test_poisoned_spmm_recovers_bit_identical():
@@ -510,25 +441,39 @@ def test_killed_worker_is_typed_and_respawned():
     assert live_segments() == []
 
 
-@needs_shm
-def test_killed_worker_serial_fallback_recovers():
-    reset_warning_counts()
-    op, ex, x, serial = _processes_bound(fallback="serial")
+@pytest.mark.parametrize(
+    "backend", ["serial", "threads", pytest.param("processes", marks=needs_shm)]
+)
+def test_faulted_then_clean_apply_is_bit_identical(backend):
+    """Task 1 faults after task 0 has written its partial sums; the
+    next apply re-zeroes in full and equals the serial one bit for
+    bit on every backend."""
+    matrix, parts = build_symmetric("random", "sss", "thirds")
+    x = rhs_block(matrix.n_cols, None)
+    serial = np.array(ParallelSymmetricSpMV(matrix, parts, "indexed")(x))
+    plan = None
+    if backend != "serial":
+        plan = ChaosPlan(
+            0, p_raise=0.0, p_delay=0.0, reorder=False,
+            faults={(0, 1): FaultSpec("raise")},
+        )
+    ex = Executor(backend, max_workers=2, plan=plan)
+    op = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex).bind()
+    clean_task = op._tasks[1]
+
+    def faulty_task():  # serial takes no plan: fault the task itself
+        clean_task()
+        raise ChaosInjectedError(0, 1)
+
     try:
+        if backend == "serial":
+            op._tasks[1] = faulty_task
+        with pytest.raises(ExecutionError):
+            op(x)
+        assert op.poisoned
+        op._tasks[1] = clean_task
         assert np.array_equal(np.array(op(x)), serial)
-        os.kill(op._remote.worker_pids()[0], signal.SIGKILL)
-        # Pin the mid-batch-death path: under scheduler load the pool
-        # can observe the corpse and respawn before dispatch, which
-        # recovers without any fallback (also correct, but not the
-        # path under test — see test above for the respawn path).
-        op._remote._ensure_workers = lambda: None
-        # The crash is contained, then the batch degrades to one serial
-        # retry of the parent-side closures — over the *same* shared
-        # arrays, so the output workspace is the real result.
-        y = np.array(op(x))
-        assert np.array_equal(y, serial)
         assert not op.poisoned
-        assert warning_counts().get("resilience.serial_fallback") == 1
     finally:
         op.close()
         ex.close()
