@@ -43,11 +43,11 @@ FLAT_CACHE_MAX = 8
 def bounded_cache_insert(cache: dict, key, value, cap: int) -> None:
     """Insert into an insertion-ordered dict cache, evicting the oldest
     entry when ``cap`` would be exceeded (keeps steady-state memory of
-    the lazy scatter/split caches bounded).
+    the lazy scatter caches bounded).
 
     Not thread-safe by itself — the evict-then-insert sequence mutates
     the dict twice; every caller must hold its cache's lock (see
-    :class:`RowScatter` and the format-level ``_cache_lock`` users)."""
+    :class:`RowScatter`)."""
     while len(cache) >= cap:
         cache.pop(next(iter(cache)))
     cache[key] = value
@@ -96,15 +96,13 @@ class RowScatter:
 
     * the *effective window* ``[lo, hi) = [idx.min(), idx.max() + 1)``:
       every bincount runs over the rebased indices and accumulates into
-      ``y[lo:hi]``, so a scatter confined to a narrow column band (a
-      partition's local writes, a CSB block) never streams the full
-      output vector — the paper's effective-ranges idea applied to the
-      multiplication phase;
+      ``y[lo:hi]``, so a scatter confined to a narrow band never
+      streams the full output vector — the paper's effective-ranges
+      idea applied to the multiplication phase;
     * the flattened 2-D bincount index per right-hand-side count ``k``
       (building it costs more than the bincount itself), which is where
-      the hot formats (SSS, CSX, BCSR) recover the multi-RHS
-      amortization. The per-``k`` cache is bounded by
-      :data:`FLAT_CACHE_MAX`.
+      the NumPy formats (COO, BCSR) recover the multi-RHS amortization.
+      The per-``k`` cache is bounded by :data:`FLAT_CACHE_MAX`.
 
     Thread safety: mutation of the bounded per-``k`` cache (compile,
     eviction, clear) happens under an internal lock. :meth:`add` reads
@@ -137,18 +135,6 @@ class RowScatter:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._flat_lock = threading.Lock()
-
-    @property
-    def window(self) -> tuple[int, int]:
-        """Effective output window ``[lo, hi)`` the scatter touches."""
-        return (self.lo, self.hi)
-
-    def compile(self, k: Optional[int] = None) -> None:
-        """Eagerly build the flattened index for ``k`` right-hand sides
-        (no-op for ``k=None``: the 1-D path needs no flat index)."""
-        if k is None or self.idx.size == 0:
-            return
-        self._flat_for(int(k))
 
     def _flat_for(self, k: int) -> np.ndarray:
         """The flattened index for ``k``, compiling (and caching) it on
@@ -316,15 +302,9 @@ class SparseFormat(abc.ABC):
     # ------------------------------------------------------------------
     # Bound-operator hooks (see repro.parallel.bound)
     # ------------------------------------------------------------------
-    def precompile(self, k: Optional[int] = None) -> None:
-        """Eagerly build any lazy per-call compilation caches (scatter
-        indices, split positions) for ``k`` right-hand sides (``None``
-        = the 1-D SpM×V path), so a bound operator's first timed
-        iteration is not a compilation run. Default: nothing to do."""
-
     def clear_caches(self) -> None:
-        """Release the lazy execution caches (compiled scatters, split
-        positions). Safe to call at any time — the caches rebuild on
+        """Release the lazy execution caches (compiled scatters). Safe
+        to call at any time — the caches rebuild on
         demand. Default: nothing to do."""
 
     def compression_ratio_vs(self, other: "SparseFormat") -> float:
@@ -372,6 +352,27 @@ class SymmetricFormat(SparseFormat):
         """
         return None
 
+    def serial_partitions(self) -> list[tuple[int, int]]:
+        """The row ranges :meth:`spmv` runs through
+        :meth:`spmv_partition`, in order: ``[0, N)`` by default."""
+        return [(0, self.n_rows)]
+
+    def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+        """Serial symmetric SpM×V: the partition kernel over
+        :meth:`serial_partitions`, every transposed write direct."""
+        x, y = self._check_spmv_args(x, y)
+        for start, end in self.serial_partitions():
+            self.spmv_partition(x, y, y, start, end)
+        return y
+
+    def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
+        """:meth:`spmv` for ``(n, k)`` blocks: one pass over the stored
+        lower triangle serves all ``k`` columns."""
+        X, Y = self._check_spmm_args(X, Y)
+        for start, end in self.serial_partitions():
+            self.spmm_partition(X, Y, Y, start, end)
+        return Y
+
     @abc.abstractmethod
     def spmv_partition(
         self,
@@ -391,6 +392,7 @@ class SymmetricFormat(SparseFormat):
         overwritten (callers zero them).
         """
 
+    @abc.abstractmethod
     def spmm_partition(
         self,
         X: np.ndarray,
@@ -399,24 +401,5 @@ class SymmetricFormat(SparseFormat):
         row_start: int,
         row_end: int,
     ) -> None:
-        """Multi-RHS partition kernel: :meth:`spmv_partition` semantics
-        with ``(n, k)`` operands, all ``k`` columns per structure
-        traversal.
-
-        The base implementation loops :meth:`spmv_partition` over
-        column views; SSS / CSX-Sym / CSB-Sym override it with
-        single-traversal kernels.
-        """
-        for j in range(X.shape[1]):
-            self.spmv_partition(
-                X[:, j], Y_direct[:, j], Y_local[:, j], row_start, row_end
-            )
-
-    def precompile_partition(
-        self, row_start: int, row_end: int, k: Optional[int] = None
-    ) -> None:
-        """Eagerly build the partition kernel's lazy caches (local vs
-        direct split positions, window-restricted scatters, flattened
-        ``k``-RHS indices) for one ``[row_start, row_end)`` partition,
-        so a bound operator pays compilation at bind time instead of on
-        the first timed iteration. Default: nothing to do."""
+        """:meth:`spmv_partition` with ``(n, k)`` operands, all ``k``
+        columns per structure traversal."""

@@ -216,11 +216,8 @@ class CSXMatrix(SparseFormat):
         threads need no reduction."""
         self.partitions[part_index].plan.execute(x, y)
 
-    def spmm_partition_only(
-        self, X: np.ndarray, Y: np.ndarray, part_index: int
-    ) -> None:
-        """Multi-RHS analogue of :meth:`spmv_partition_only`."""
-        self.partitions[part_index].plan.execute(X, Y)
+    #: The plan takes ``(n, k)`` blocks as they are.
+    spmm_partition_only = spmv_partition_only
 
     def to_coo(self) -> COOMatrix:
         return COOMatrix(

@@ -4,30 +4,28 @@ The original CSX emits one LLVM-JIT'ed SpM×V kernel per matrix, so
 decoding the ``ctl`` stream costs nothing per element at run time. A
 pure-Python per-element interpreter would bury the experiment in
 interpreter overhead, so each partition's decoded units compile instead
-into one CSR matrix over the partition's row and column windows, run by
-scipy's compiled CSR/CSC loops (which release the GIL and read each
-index once for all ``k`` right-hand sides). This substitution is
+into one CSR triple over the partition's row and column windows, run by
+the native kernel of :mod:`repro.native` (C, GIL released, each index
+read once for all ``k`` right-hand sides). This substitution is
 recorded in DESIGN.md.
 
 Summation order: inside each row the elements keep their ``ctl``
 execution order (units in stream order, run or row-major block order
-inside a unit). :meth:`ExecutionPlan.execute` sums each row from zero in
-that order and adds the sum to ``y``; the transposed product sums each
-column's writes in row order, then that order. The ``k``-column product
-runs the same sequence of operations per column, so column ``j`` of an
-SpMM equals the SpM×V of ``x[:, j]`` bit for bit.
-
-``scipy.sparse`` is imported here, on first compile, not at package
-import: it costs 16-22 MiB of RSS, which formats and workloads that
-never build a CSX plan (SSS, the out-of-core path) should not pay.
+inside a unit). Each row is summed from zero in that order and the sum
+added to ``y``; the transposed writes of CSX-Sym accumulate, row after
+row in that order, in a zeroed scratch over the column window, which is
+then added to ``y``. The ``k``-column product runs the same sequence of
+operations per column, so column ``j`` of an SpMM equals the SpM×V of
+``x[:, j]`` bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ...native import check_structure, partition_product
 from .substructures import Unit, UnitArrays
 
 __all__ = ["ExecutionPlan", "compile_plan", "compile_units", "plan_triples"]
@@ -52,37 +50,13 @@ class ExecutionPlan:
         col_lo: int = 0,
         n_window_cols: int = 0,
     ):
+        check_structure(indptr, indices, data, n_window_cols)
         self.n_rows = n_rows
         self.row_lo = row_lo
         self.col_lo = col_lo
         self.n_window_rows = indptr.size - 1
         self.n_window_cols = n_window_cols
         self.indptr, self.indices, self.data = indptr, indices, data
-        self._wrap()
-
-    def _wrap(self) -> None:
-        """Wrap the arrays (no copy) in scipy's CSR matrix and, for the
-        transposed half, its CSC transpose."""
-        self._csr = self._csc = None
-        if self.data.size:
-            from scipy.sparse import csr_matrix
-
-            self._csr = csr_matrix(
-                (self.data, self.indices, self.indptr),
-                shape=(self.n_window_rows, self.n_window_cols),
-            )
-            self._csc = self._csr.T
-
-    def __getstate__(self):
-        # Pickle the arrays once (the process backend ships them
-        # out-of-band); the scipy wrappers are rebuilt on load.
-        state = self.__dict__.copy()
-        del state["_csr"], state["_csc"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._wrap()
 
     @property
     def n_elements(self) -> int:
@@ -97,44 +71,32 @@ class ExecutionPlan:
         )
         return rows, self.indices + np.int64(self.col_lo), self.data
 
-    def execute(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Accumulate ``A_plan @ x`` into ``y`` (not cleared here).
-
-        ``x`` may be a vector ``(n,)`` or a multi-RHS block ``(n, k)``
-        (with matching ``y``).
-        """
-        if self._csr is None:
-            return
-        y[self.row_lo:self.row_lo + self.n_window_rows] += self._csr @ x[
-            self.col_lo:self.col_lo + self.n_window_cols
-        ]
-
-    def execute_transposed_split(
+    def execute(
         self,
         x: np.ndarray,
-        y_direct: np.ndarray,
-        y_local: np.ndarray,
-        boundary: int,
+        y: np.ndarray,
+        y_local: Optional[np.ndarray] = None,
+        boundary: Optional[int] = None,
+        diag: Optional[np.ndarray] = None,
+        diag_rows: tuple[int, int] = (0, 0),
     ) -> None:
-        """Accumulate the *transposed* products ``A_plan^T @ x`` routing
-        each write ``y[c] += a_rc * x[r]`` to ``y_direct`` when
-        ``c >= boundary`` and to ``y_local`` otherwise.
+        """Accumulate ``A_plan @ x`` into ``y`` (not cleared here): the
+        row products only, as the unsymmetric CSX runs them.
 
-        This is the upper-triangle half of the symmetric kernel
-        (Alg. 3 line 8) with the local/direct split of Section III-B:
-        one CSC product over the column window, split at ``boundary``.
-
-        Accepts a vector ``(n,)`` or a multi-RHS block ``(n, k)``.
+        With a ``boundary``, one fused pass of the symmetric kernel
+        (Alg. 3) instead: first ``diag[g] * x[g]`` for ``g`` in
+        ``diag_rows``, then the row products, and the transposed writes
+        ``y[c] += a_rc * x[r]`` to ``y`` when ``c >= boundary`` and to
+        ``y_local`` otherwise (the local/direct split of Section III-B).
+        ``x`` may be a vector ``(n,)`` or a block ``(n, k)``.
         """
-        if self._csr is None:
-            return
-        w = self._csc @ x[self.row_lo:self.row_lo + self.n_window_rows]
-        lo, hi = self.col_lo, self.col_lo + self.n_window_cols
-        split = min(max(boundary, lo), hi)
-        if split > lo:
-            y_local[lo:split] += w[:split - lo]
-        if split < hi:
-            y_direct[split:hi] += w[split - lo:]
+        partition_product(
+            x, y, self.indptr, self.indices, self.data,
+            rows=(self.row_lo, self.n_window_rows),
+            cols=(self.col_lo, self.n_window_cols), col_base=self.col_lo,
+            y_local=y_local, split=boundary or 0, diag=diag,
+            diag_rows=diag_rows, symmetric=boundary is not None,
+        )
 
 
 def compile_units(units: UnitArrays, n_rows: int) -> ExecutionPlan:

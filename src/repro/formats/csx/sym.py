@@ -196,26 +196,8 @@ class CSXSymMatrix(SymmetricFormat):
     def ctl_size_bytes(self) -> int:
         return sum(p.ctl_bytes() for p in self.partitions)
 
-    def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Serial symmetric SpM×V through the compiled plans."""
-        x, y = self._check_spmv_args(x, y)
-        y += self.dvalues * x
-        dummy_local = np.zeros(0, dtype=np.float64)
-        for p in self.partitions:
-            p.plan.execute(x, y)
-            p.plan.execute_transposed_split(x, y, dummy_local, boundary=0)
-        return y
-
-    def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Multi-RHS symmetric product through the compiled plans (one
-        traversal of each partition plan for all ``k`` columns)."""
-        X, Y = self._check_spmm_args(X, Y)
-        Y += self.dvalues[:, None] * X
-        dummy_local = np.zeros((0, X.shape[1]), dtype=np.float64)
-        for p in self.partitions:
-            p.plan.execute(X, Y)
-            p.plan.execute_transposed_split(X, Y, dummy_local, boundary=0)
-        return Y
+    def serial_partitions(self) -> list[tuple[int, int]]:
+        return self._partition_bounds
 
     def spmv_partition(
         self,
@@ -225,9 +207,11 @@ class CSXSymMatrix(SymmetricFormat):
         row_start: int,
         row_end: int,
     ) -> None:
-        """One thread's multiplication phase (Alg. 3 lines 2-11) through
-        the partition's compiled plan. ``(row_start, row_end)`` must be
-        one of the partitions the matrix was preprocessed for."""
+        """One thread's multiplication phase (Alg. 3 lines 2-11): the
+        diagonal, then one fused pass of the partition's compiled plan.
+        ``(row_start, row_end)`` must be one of the partitions the
+        matrix was preprocessed for. Takes ``(n,)`` or ``(n, k)``
+        operands."""
         try:
             i = self._part_index[(row_start, row_end)]
         except KeyError:
@@ -235,34 +219,12 @@ class CSXSymMatrix(SymmetricFormat):
                 f"({row_start}, {row_end}) is not a preprocessed partition; "
                 f"available: {self._partition_bounds}"
             ) from None
-        p = self.partitions[i]
-        sl = slice(row_start, row_end)
-        y_direct[sl] += self.dvalues[sl] * x[sl]
-        p.plan.execute(x, y_direct)
-        p.plan.execute_transposed_split(x, y_direct, y_local, row_start)
+        self.partitions[i].plan.execute(
+            x, y_direct, y_local, row_start,
+            diag=self.dvalues, diag_rows=(row_start, row_end),
+        )
 
-    def spmm_partition(
-        self,
-        X: np.ndarray,
-        Y_direct: np.ndarray,
-        Y_local: np.ndarray,
-        row_start: int,
-        row_end: int,
-    ) -> None:
-        """Multi-RHS partition kernel: the same compiled plan executed
-        once with ``(n, k)`` operands."""
-        try:
-            i = self._part_index[(row_start, row_end)]
-        except KeyError:
-            raise ValueError(
-                f"({row_start}, {row_end}) is not a preprocessed partition; "
-                f"available: {self._partition_bounds}"
-            ) from None
-        p = self.partitions[i]
-        sl = slice(row_start, row_end)
-        Y_direct[sl] += self.dvalues[sl, None] * X[sl]
-        p.plan.execute(X, Y_direct)
-        p.plan.execute_transposed_split(X, Y_direct, Y_local, row_start)
+    spmm_partition = spmv_partition  # the kernel takes (n, k) blocks
 
     def to_coo(self) -> COOMatrix:
         r, c, v = plan_triples([p.plan for p in self.partitions])

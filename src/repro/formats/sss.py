@@ -5,38 +5,27 @@ SSS stores a symmetric matrix as a separate dense main-diagonal array
 eq. (2): ``S_SSS = 6*(NNZ + N) + 4`` for a matrix with ``NNZ`` logical
 non-zeros (both triangles, full diagonal) of rank ``N``.
 
-The serial kernel is Alg. 2; the partition kernel used by the
-multithreaded algorithms (Alg. 3) routes transposed contributions either
-directly into the output vector (inside the thread's own row range) or
-into the thread's local vector (rows before the partition), which is the
-behaviour the three reduction methods of Section III build upon.
+The partition kernel used by the multithreaded algorithms (Alg. 3) is
+the native fused kernel of :mod:`repro.native`: one pass over the
+partition's stored rows that sums each row and routes each transposed
+contribution either directly into the output vector (inside the
+thread's own row range) or into the thread's local vector (rows before
+the partition), which is the behaviour the three reduction methods of
+Section III build upon. The serial kernel (Alg. 2) is the partition
+``[0, N)``, and the ``k``-column kernels read each index once for all
+columns.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Optional
-
 import numpy as np
 
-from ..obs.tracer import active as _active_tracer
-from .base import (
-    INDEX_BYTES,
-    VALUE_BYTES,
-    RowScatter,
-    SymmetricFormat,
-    bounded_cache_insert,
-)
+from ..native import partition_product
+from .base import INDEX_BYTES, VALUE_BYTES, SymmetricFormat
 from .coo import COOMatrix
-from .csr import csr_row_segment_sums
 from .validate import SymmetryError
 
-__all__ = ["SSSMatrix", "PART_SPLIT_CACHE_MAX"]
-
-#: Cap on cached per-partition local/direct scatter splits (keyed by
-#: partition bounds; oldest evicted beyond this, so repartitioning a
-#: long-lived matrix cannot grow the cache without bound).
-PART_SPLIT_CACHE_MAX = 256
+__all__ = ["SSSMatrix"]
 
 
 class SSSMatrix(SymmetricFormat):
@@ -61,50 +50,37 @@ class SSSMatrix(SymmetricFormat):
         values: np.ndarray,
     ):
         super().__init__(shape)
-        dvalues = np.asarray(dvalues, dtype=np.float64)
-        rowptr = np.asarray(rowptr, dtype=np.int32)
-        colind = np.asarray(colind, dtype=np.int32)
-        values = np.asarray(values, dtype=np.float64)
+        dvalues = np.ascontiguousarray(dvalues, dtype=np.float64)
+        rowptr = np.ascontiguousarray(rowptr, dtype=np.int32)
+        colind = np.ascontiguousarray(colind, dtype=np.int32)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if dvalues.shape != (self.n_rows,):
             raise ValueError("dvalues must have length N")
         if rowptr.shape != (self.n_rows + 1,):
             raise ValueError("rowptr must have length N+1")
         if rowptr[0] != 0 or rowptr[-1] != colind.size:
             raise ValueError("rowptr must start at 0 and end at nnz(lower)")
-        if np.any(np.diff(rowptr) < 0):
+        counts = np.diff(rowptr)
+        if np.any(counts < 0):
             raise ValueError("rowptr must be non-decreasing")
-        if colind.shape != values.shape:
+        if colind.shape != values.shape or colind.ndim != 1:
             raise ValueError("colind/values length mismatch")
+        # _col_floor[r]: the smallest column stored in rows >= r (r when
+        # none is), so a partition starting at row r scatters its
+        # transposed writes inside [_col_floor[r], row_end). An
+        # execution aid of N + 1 entries, not counted in size_bytes().
+        tail = np.minimum.accumulate(colind[::-1])[::-1]
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int32), counts)
+        if colind.size and (tail[0] < 0 or np.any(colind >= rows)):
+            raise ValueError("SSS off-diagonal entries must be strictly lower")
+        self._col_floor = np.minimum(
+            np.arange(self.n_rows + 1, dtype=np.int32),
+            np.append(tail, np.int32(self.n_rows))[rowptr],
+        )
         self.dvalues = dvalues
         self.rowptr = rowptr
         self.colind = colind
         self.values = values
-        # Row index of each stored (strictly lower) entry; an execution
-        # aid for the vectorized scatter, not counted in size_bytes().
-        self._rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int32), np.diff(rowptr)
-        )
-        if colind.size and np.any(colind >= self._rows):
-            raise ValueError("SSS off-diagonal entries must be strictly lower")
-        # Lazy spmm scatter compilations (whole matrix / per partition).
-        # Mutations (miss-path build, bounded eviction, clear_caches)
-        # run under the cache lock so concurrent bind()/apply from
-        # several operators sharing this matrix cannot corrupt the
-        # dicts; hit paths read lock-free and keep local references.
-        self._spmm_scatter: Optional[RowScatter] = None
-        self._spmm_part_cache: dict[tuple[int, int], tuple] = {}
-        self._cache_lock = threading.Lock()
-
-    def __getstate__(self):
-        # Locks are unpicklable; the process backend ships the matrix
-        # to workers through the shared arena. Workers get their own.
-        state = self.__dict__.copy()
-        del state["_cache_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -150,127 +126,6 @@ class SSSMatrix(SymmetricFormat):
             + (self.n_rows + 1) * INDEX_BYTES
         )
 
-    def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Serial symmetric SpM×V (Alg. 2), vectorized."""
-        x, y = self._check_spmv_args(x, y)
-        y[:] = self.dvalues * x
-        if self.values.size:
-            products = self.values * x[self.colind]
-            y += csr_row_segment_sums(products, self.rowptr, 0, self.n_rows)
-            # Transposed (upper-triangle) contributions: y[c] += a_rc * x[r].
-            np.add.at(y, self.colind, self.values * x[self._rows])
-        return y
-
-    def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Multi-RHS symmetric product: one pass over the stored lower
-        triangle serves all ``k`` columns (direct and transposed halves
-        alike), so the ``6(NNZ+N)`` matrix bytes are streamed once."""
-        X, Y = self._check_spmm_args(X, Y)
-        Y[:] = self.dvalues[:, None] * X
-        if self.values.size:
-            products = self.values[:, None] * X[self.colind]
-            Y += csr_row_segment_sums(products, self.rowptr, 0, self.n_rows)
-            scatter = self._spmm_scatter
-            if scatter is None:
-                with self._cache_lock:
-                    scatter = self._spmm_scatter
-                    if scatter is None:
-                        scatter = RowScatter(self.colind)
-                        self._spmm_scatter = scatter
-            scatter.add(Y, self.values[:, None] * X[self._rows])
-        return Y
-
-    def spmm_partition(
-        self,
-        X: np.ndarray,
-        Y_direct: np.ndarray,
-        Y_local: np.ndarray,
-        row_start: int,
-        row_end: int,
-    ) -> None:
-        """Multi-RHS partition kernel: :meth:`spmv_partition` with
-        ``(n, k)`` operands, one structure traversal for all columns."""
-        lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-        sl = slice(row_start, row_end)
-        Y_direct[sl] += self.dvalues[sl, None] * X[sl]
-        if hi == lo:
-            return
-        cols = self.colind[lo:hi]
-        vals = self.values[lo:hi]
-        products = vals[:, None] * X[cols]
-        Y_direct[sl] += csr_row_segment_sums(
-            products, self.rowptr, row_start, row_end
-        )
-        transposed = vals[:, None] * X[self._rows[lo:hi]]
-        local_pos, local_sc, direct_pos, direct_sc = self._partition_split(
-            row_start, row_end
-        )
-        if local_pos.size == 0:
-            direct_sc.add(Y_direct, transposed)
-            return
-        local_sc.add(Y_local, transposed[local_pos])
-        if direct_pos.size:
-            direct_sc.add(Y_direct, transposed[direct_pos])
-
-    def _partition_split(
-        self, row_start: int, row_end: int
-    ) -> tuple[np.ndarray, RowScatter, np.ndarray, RowScatter]:
-        """Cached local/direct split of one partition's transposed
-        writes: positions of entries with column < / >= ``row_start``
-        plus the window-restricted scatters through them (shared by the
-        1-D and multi-RHS partition kernels)."""
-        key = (row_start, row_end)
-        # Lock-free hit path; the tuple is immutable once built, so a
-        # concurrent eviction only affects dict membership, never this
-        # local reference.
-        cache = self._spmm_part_cache.get(key)
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.count(
-                "sss.part_split_hit" if cache is not None
-                else "sss.part_split_miss"
-            )
-        if cache is None:
-            with self._cache_lock:
-                cache = self._spmm_part_cache.get(key)
-                if cache is None:
-                    lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-                    cols = self.colind[lo:hi]
-                    local_pos = np.flatnonzero(cols < row_start)
-                    direct_pos = np.flatnonzero(cols >= row_start)
-                    cache = (
-                        local_pos,
-                        RowScatter(cols[local_pos]),
-                        direct_pos,
-                        RowScatter(cols[direct_pos]),
-                    )
-                    bounded_cache_insert(
-                        self._spmm_part_cache, key, cache,
-                        PART_SPLIT_CACHE_MAX,
-                    )
-        return cache
-
-    def precompile_partition(
-        self, row_start: int, row_end: int, k: Optional[int] = None
-    ) -> None:
-        """Build the partition's split and scatters (plus the flattened
-        ``k``-RHS indices) ahead of the first kernel call. A partition
-        without stored entries has nothing to build: its kernel returns
-        before the split."""
-        if self.rowptr[row_start] == self.rowptr[row_end]:
-            return
-        _, local_sc, _, direct_sc = self._partition_split(row_start, row_end)
-        local_sc.compile(k)
-        direct_sc.compile(k)
-
-    def clear_caches(self) -> None:
-        """Release the lazy scatter compilations (rebuilt on demand).
-        Safe against concurrent kernel calls: they hold local
-        references to whatever was compiled when they started."""
-        with self._cache_lock:
-            self._spmm_scatter = None
-            self._spmm_part_cache.clear()
-
     def spmv_partition(
         self,
         x: np.ndarray,
@@ -284,31 +139,23 @@ class SSSMatrix(SymmetricFormat):
         Stored rows ``[row_start, row_end)`` are computed. Row results and
         transposed contributions landing inside the partition accumulate
         into ``y_direct``; transposed contributions to rows before
-        ``row_start`` go to ``y_local``. The transposed scatters run
-        through the cached local/direct split, window-restricted to each
-        side's effective column range.
+        ``row_start`` go to ``y_local``. Takes ``(n,)`` or ``(n, k)``
+        operands; the ``k``-column kernel reads each index once.
         """
-        lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-        sl = slice(row_start, row_end)
-        y_direct[sl] += self.dvalues[sl] * x[sl]
-        if hi == lo:
-            return
-        cols = self.colind[lo:hi]
-        vals = self.values[lo:hi]
-        products = vals * x[cols]
-        y_direct[sl] += csr_row_segment_sums(
-            products, self.rowptr, row_start, row_end
+        if not 0 <= row_start <= row_end <= self.n_rows:
+            raise ValueError(
+                f"partition ({row_start}, {row_end}) outside [0, {self.n_rows})"
+            )
+        col_lo = int(self._col_floor[row_start])
+        partition_product(
+            x, y_direct, self.rowptr, self.colind, self.values,
+            rows=(row_start, row_end - row_start),
+            cols=(col_lo, row_end - col_lo), col_base=0, first=row_start,
+            y_local=y_local, split=row_start,
+            diag=self.dvalues, diag_rows=(row_start, row_end),
         )
-        transposed = vals * x[self._rows[lo:hi]]
-        local_pos, local_sc, direct_pos, direct_sc = self._partition_split(
-            row_start, row_end
-        )
-        if local_pos.size == 0:
-            direct_sc.add(y_direct, transposed)
-            return
-        local_sc.add(y_local, transposed[local_pos])
-        if direct_pos.size:
-            direct_sc.add(y_direct, transposed[direct_pos])
+
+    spmm_partition = spmv_partition  # the kernel takes (n, k) blocks
 
     def lower_triple(
         self,
@@ -319,8 +166,11 @@ class SSSMatrix(SymmetricFormat):
     def to_coo(self) -> COOMatrix:
         """Expand to a full (both-triangle) COO matrix."""
         diag_rows = np.flatnonzero(self.dvalues).astype(np.int32)
-        rows = np.concatenate([self._rows, self.colind, diag_rows])
-        cols = np.concatenate([self.colind, self._rows, diag_rows])
+        lower_rows = np.repeat(
+            np.arange(self.n_rows, dtype=np.int32), np.diff(self.rowptr)
+        )
+        rows = np.concatenate([lower_rows, self.colind, diag_rows])
+        cols = np.concatenate([self.colind, lower_rows, diag_rows])
         vals = np.concatenate(
             [self.values, self.values, self.dvalues[diag_rows]]
         )
@@ -340,10 +190,6 @@ class SSSMatrix(SymmetricFormat):
         lo, hi = self.rowptr[row_start], self.rowptr[row_end]
         cols = self.colind[lo:hi]
         return np.unique(cols[cols < row_start]).astype(np.int64)
-
-    def row_nnz_lower(self) -> np.ndarray:
-        """Stored (strictly lower) entries per row."""
-        return np.diff(self.rowptr).astype(np.int64)
 
     def expanded_row_nnz(self) -> np.ndarray:
         """Logical non-zeros per row of the expanded matrix (used by the

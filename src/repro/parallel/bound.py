@@ -32,6 +32,8 @@ import numpy as np
 from ..obs.tracer import Tracer, active as _active_tracer, warn as _obs_warn
 from ..resilience.errors import OperatorClosedError
 
+_F64 = np.dtype(np.float64)
+
 __all__ = [
     "BoundOperator",
     "BoundSymmetricSpMV",
@@ -109,7 +111,7 @@ def compile_symmetric_tasks(
     if getattr(reduction, "conflict_free", False):
         from .coloring import compile_colored_steps
 
-        return compile_colored_steps(reduction.schedule, y, get_x, k)
+        return compile_colored_steps(reduction.schedule, y, get_x)
     multi = k is not None
     tasks = []
     for tid, (start, end) in enumerate(partitions):
@@ -164,12 +166,9 @@ class BoundOperator:
     operator
 
     (a) precompiles the per-thread task list (closures are built once,
-        reading the input slot set by each call),
+        reading the input slot set by each call), and
     (b) allocates persistent output/local workspaces that are zeroed in
-        place instead of re-allocated per call, and
-    (c) eagerly compiles the format's lazy scatter/split caches
-        (window-restricted scatters, flattened ``k``-RHS indices) so
-        the first timed iteration is not a compilation run.
+        place instead of re-allocated per call.
 
     The operator keeps the driver's matrix, partitions, reduction and
     executor, not the driver itself: a driver caching its operators
@@ -239,7 +238,6 @@ class BoundOperator:
         self._remote = None
         self._arenas: list = []
         with _active_tracer().span("bind", k=k, threads=self.n_threads):
-            self._precompile()
             self._allocate_workspaces()
             if self.executor.mode == "processes":
                 self._setup_process_backend()
@@ -254,9 +252,6 @@ class BoundOperator:
         return 0
 
     # -- bind-time hooks (overridden per driver kind) -------------------
-    def _precompile(self) -> None:
-        """Eagerly build the format's lazy execution caches."""
-
     def _allocate_workspaces(self) -> None:
         """Allocate any persistent buffers beyond the output."""
 
@@ -393,7 +388,10 @@ class BoundOperator:
         (workspaces are shared; see the class docstring) — each caller
         gets the exact result it would have gotten alone.
         """
-        with self._apply_lock:
+        # acquire/release, not ``with``: half the cost (~0.3 us), which
+        # counts against the native kernel's ~60 us small-matrix apply.
+        self._apply_lock.acquire()
+        try:
             if self._closed:
                 raise OperatorClosedError(
                     "operator is closed; bind() a new one"
@@ -405,7 +403,8 @@ class BoundOperator:
                 _obs_warn("resilience.operator_recovered")
                 self._full_rezero()
                 self._poisoned = False
-            x = np.asarray(x, dtype=np.float64)
+            if type(x) is not np.ndarray or x.dtype is not _F64:
+                x = np.asarray(x, dtype=np.float64)
             if x.shape != self._x_shape:
                 raise ValueError(
                     f"x has shape {x.shape}, expected {self._x_shape} for "
@@ -419,6 +418,8 @@ class BoundOperator:
             if tracer.enabled:
                 return self._apply_traced(tracer, x, out)
             return self._apply(x, out)
+        finally:
+            self._apply_lock.release()
 
     def _apply(
         self, x: np.ndarray, out: Optional[np.ndarray] = None
@@ -565,28 +566,18 @@ class BoundOperator:
 
 class BoundSymmetricSpMV(BoundOperator):
     """Bound two-phase symmetric driver: persistent ``(p, N[, k])``
-    local vectors, precompiled local/direct splits, in-place
-    effective-region zeroing, and the configured reduction.
+    local vectors, in-place effective-region zeroing, and the
+    configured reduction.
 
     With the ``"coloring"`` strategy the bound shape changes: no local
     vectors exist (``allocate_locals`` is all ``None``, the zero volume
-    is just ``y``), the color-class schedule — built once at reduction
-    construction — has its per-``k`` scatter indices precompiled at bind
-    time, and the multiplication phase runs the schedule's steps with a
+    is just ``y``), and the multiplication phase runs the color-class
+    schedule's steps — built once at reduction construction — with a
     barrier per step instead of one flat batch."""
 
     @property
     def _conflict_free(self) -> bool:
         return getattr(self.reduction, "conflict_free", False)
-
-    def _precompile(self) -> None:
-        if self._conflict_free:
-            # The partition kernels never run; compile the schedule's
-            # multi-RHS flat indices instead.
-            self.reduction.schedule.precompile(self.k)
-            return
-        for start, end in self.partitions:
-            self.matrix.precompile_partition(start, end, self.k)
 
     def _allocate_workspaces(self) -> None:
         self._locals = self.reduction.allocate_locals(self.k)
@@ -636,9 +627,6 @@ class BoundSymmetricSpMV(BoundOperator):
 class BoundSpMV(BoundOperator):
     """Bound row-partitioned unsymmetric driver (CSR / CSX): no
     reduction phase, rows are thread-exclusive."""
-
-    def _precompile(self) -> None:
-        self.matrix.precompile(self.k)
 
     def _build_tasks(self) -> list:
         return compile_unsymmetric_tasks(

@@ -39,6 +39,7 @@ import numpy as np
 from ..formats.sss import SSSMatrix
 from ..machine.platforms import Platform
 from ..machine.roofline import smt_compute_factor
+from ..native import batch_product
 from .partition import partition_nnz_balanced
 
 __all__ = [
@@ -222,64 +223,30 @@ def verify_coloring(matrix, colors: np.ndarray) -> bool:
 
 
 class _ClassSegment:
-    """Precompiled arrays for one contiguous row batch of one color
-    class: the rows, their diagonal values, and the gathered stored
-    elements (value, column, expanded row, batch-local row).
+    """One contiguous row batch of one color class: its rows (ascending),
+    their diagonal values, and their stored elements (``cols`` /
+    ``vals``, row ``i``'s at ``ptr[i]:ptr[i + 1]``), run by the native
+    batch kernel. Within one color class every output target — the
+    batch rows *and* the transposed columns — is written once, so the
+    kernel writes ``y`` directly, with no atomics and no duplicate-index
+    hazard. ``extent`` bounds every row and column index."""
 
-    Within one color class every output target — the batch rows *and*
-    the transposed columns — is written by exactly one stored element
-    group, so the apply kernels below use plain fancy-index updates with
-    no atomics and no duplicate-index hazard.
-    """
+    __slots__ = ("rows", "diag", "ptr", "cols", "vals", "extent")
 
-    __slots__ = ("rows", "diag", "cols", "vals", "erows", "local_rows", "_flat")
+    def __init__(self, rows, diag, ptr, cols, vals, extent):
+        self.rows, self.diag, self.ptr = rows, diag, ptr
+        self.cols, self.vals, self.extent = cols, vals, extent
 
-    #: Cached flattened multi-RHS indices per k (bounded; a schedule is
-    #: typically applied at one or two k values).
-    _FLAT_MAX = 4
-
-    def __init__(self, rows, diag, cols, vals, erows, local_rows):
-        self.rows = rows
-        self.diag = diag
-        self.cols = cols
-        self.vals = vals
-        self.erows = erows
-        self.local_rows = local_rows
-        self._flat: dict[int, np.ndarray] = {}
-
-    def __getstate__(self):
-        return (
-            self.rows, self.diag, self.cols,
-            self.vals, self.erows, self.local_rows,
-        )
-
-    def __setstate__(self, state):
-        (
-            self.rows, self.diag, self.cols,
-            self.vals, self.erows, self.local_rows,
-        ) = state
-        self._flat = {}
-
-    def flat_index(self, k: int) -> np.ndarray:
-        """Flattened ``(element, k)`` bincount keys for the multi-RHS
-        row-segment sums (compiled on first use per ``k``)."""
-        flat = self._flat.get(k)
-        if flat is None:
-            if len(self._flat) >= self._FLAT_MAX:
-                self._flat.clear()
-            flat = (
-                self.local_rows[:, None] * k
-                + np.arange(k, dtype=np.int64)
-            ).ravel()
-            self._flat[k] = flat
-        return flat
+    def apply(self, x: np.ndarray, y: np.ndarray) -> None:
+        batch_product(x, y, self.rows, self.ptr, self.cols, self.vals,
+                      self.diag, self.extent)
 
     @property
     def index_bytes(self) -> int:
-        """Schedule footprint of this batch (excluding flat caches)."""
+        """Schedule footprint of this batch."""
         return (
-            self.rows.nbytes + self.diag.nbytes + self.cols.nbytes
-            + self.vals.nbytes + self.erows.nbytes + self.local_rows.nbytes
+            self.rows.nbytes + self.diag.nbytes + self.ptr.nbytes
+            + self.cols.nbytes + self.vals.nbytes
         )
 
 
@@ -287,57 +254,13 @@ def _make_segment(rows_sel, dvalues, rowptr, colind, values):
     rows_sel = np.ascontiguousarray(rows_sel, dtype=np.int64)
     lo = rowptr[rows_sel]
     lens = rowptr[rows_sel + 1] - lo
-    total = int(lens.sum())
-    if total:
-        idx = _span_gather(lo, lens, total)
-        cols = colind[idx]
-        vals = values[idx]
-        erows = np.repeat(rows_sel, lens)
-        local_rows = np.repeat(
-            np.arange(rows_sel.size, dtype=np.int64), lens
-        )
-    else:
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.float64)
-        erows = cols
-        local_rows = cols
+    ptr = np.zeros(rows_sel.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    idx = _span_gather(lo, lens, int(ptr[-1]))
     return _ClassSegment(
-        rows_sel, dvalues[rows_sel], cols, vals, erows, local_rows
+        rows_sel, dvalues[rows_sel], ptr, colind[idx], values[idx],
+        rowptr.size - 1,
     )
-
-
-def _apply_segment(seg: _ClassSegment, x: np.ndarray, y: np.ndarray) -> None:
-    """1-RHS batch kernel: direct writes only (no local vector)."""
-    rows = seg.rows
-    if seg.vals.size:
-        acc = np.bincount(
-            seg.local_rows,
-            weights=seg.vals * x[seg.cols],
-            minlength=rows.size,
-        )
-        y[rows] += seg.diag * x[rows] + acc
-        # Transposed half: columns are unique within the color class.
-        y[seg.cols] += seg.vals * x[seg.erows]
-    else:
-        y[rows] += seg.diag * x[rows]
-
-
-def _apply_segment_k(
-    seg: _ClassSegment, X: np.ndarray, Y: np.ndarray, k: int
-) -> None:
-    """Multi-RHS batch kernel: one structure traversal for all ``k``."""
-    rows = seg.rows
-    if seg.vals.size:
-        prod = seg.vals[:, None] * X[seg.cols]
-        acc = np.bincount(
-            seg.flat_index(k),
-            weights=prod.ravel(),
-            minlength=rows.size * k,
-        ).reshape(rows.size, k)
-        Y[rows] += seg.diag[:, None] * X[rows] + acc
-        Y[seg.cols] += seg.vals[:, None] * X[seg.erows]
-    else:
-        Y[rows] += seg.diag[:, None] * X[rows]
 
 
 @dataclass
@@ -383,16 +306,6 @@ class ColoringSchedule:
             for task in step
             for seg in task
         )
-
-    def precompile(self, k: Optional[int]) -> None:
-        """Eagerly build the per-``k`` flat scatter indices (bind time
-        instead of first apply)."""
-        if k is None:
-            return
-        for step in self.steps:
-            for task in step:
-                for seg in task:
-                    seg.flat_index(k)
 
 
 def build_coloring_schedule(
@@ -459,27 +372,20 @@ def compile_colored_steps(
     schedule: ColoringSchedule,
     y: np.ndarray,
     get_x: Callable[[], np.ndarray],
-    k: Optional[int] = None,
 ) -> list:
     """Bind the schedule to concrete operands: a list of steps, each a
     list of zero-argument task callables writing ``y`` directly.
 
     ``get_x`` is resolved per call so bound operators can stage the
-    input after compilation. ``k=None`` compiles the 1-RHS kernels."""
+    input after compilation; ``(n,)`` and ``(n, k)`` inputs both run."""
     steps_out = []
     for step in schedule.steps:
         tasks = []
         for segments in step:
-            if k is None:
-                def task(_segs=tuple(segments)):
-                    x = get_x()
-                    for seg in _segs:
-                        _apply_segment(seg, x, y)
-            else:
-                def task(_segs=tuple(segments), _k=int(k)):
-                    X = get_x()
-                    for seg in _segs:
-                        _apply_segment_k(seg, X, y, _k)
+            def task(_segs=tuple(segments)):
+                x = get_x()
+                for seg in _segs:
+                    seg.apply(x, y)
             tasks.append(task)
         steps_out.append(tasks)
     return steps_out

@@ -136,21 +136,16 @@ def _build_tasks(spec: WorkerSpec, ws: "_shm.SharedArena", x, y) -> list:
             # reduction; its tasks replace the partition kernels. The
             # parent dispatches *global* (step-major) task ids, so the
             # barrier-separated steps flatten into one indexable list.
-            reduction.schedule.precompile(spec.k)
             steps = compile_symmetric_tasks(
                 matrix, reduction, partitions, spec.k, y, locals_,
                 lambda: x,
             )
             tasks = [task for step in steps for task in step]
         else:
-            for start, end in partitions:
-                matrix.precompile_partition(start, end, spec.k)
             tasks = compile_symmetric_tasks(
                 matrix, reduction, partitions, spec.k, y, locals_, lambda: x
             )
     else:
-        if hasattr(matrix, "precompile"):
-            matrix.precompile(spec.k)
         tasks = compile_unsymmetric_tasks(
             matrix, partitions, spec.k, y, lambda: x
         )

@@ -68,8 +68,8 @@ class _Driver:
 
     def bind(self, k: Optional[int] = None) -> BoundOperator:
         """A new :class:`~repro.parallel.bound.BoundOperator` for ``k``
-        right-hand sides (``None`` = 1-D SpM×V): persistent workspaces,
-        precompiled tasks and scatters. The caller owns it and must
+        right-hand sides (``None`` = 1-D SpM×V): persistent workspaces
+        and precompiled tasks. The caller owns it and must
         close it."""
         return self._bound_type(self, k)
 

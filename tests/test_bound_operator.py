@@ -160,16 +160,18 @@ def test_bind_idempotent_and_rebind():
     fresh.close()
 
 
-def test_close_releases_and_rejects():
+def test_close_releases_and_rejects(monkeypatch):
     driver = _sym_driver("random", "sss", "indexed")
     sss = driver.matrix
     bound = driver.bind(2)
     X = rhs_block(sss.n_cols, 2)
     bound(X)
-    assert sss._spmm_part_cache  # populated by the bound passes
+    cleared = []
+    monkeypatch.setattr(
+        type(sss), "clear_caches", lambda self: cleared.append(self)
+    )
     bound.close()
-    assert not sss._spmm_part_cache  # clear_caches() wired through
-    assert sss._spmm_scatter is None
+    assert cleared == [sss]  # clear_caches() wired through
     assert bound.closed
     with pytest.raises(RuntimeError):
         bound(X)
@@ -212,7 +214,7 @@ def test_warm_bound_operator_retains_no_new_allocations():
 def test_row_scatter_flat_cache_bounded():
     sc = RowScatter(np.array([3, 5, 3, 9]))
     for k in range(1, 3 * FLAT_CACHE_MAX):
-        sc.compile(k)
+        sc.add(np.zeros((10, k)), np.ones((4, k)))
     assert len(sc._flat) <= FLAT_CACHE_MAX
     # Most-recent k values survive; the scatter still works for any k.
     y = np.zeros((10, 2))

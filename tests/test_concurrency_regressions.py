@@ -13,9 +13,11 @@ fix and fails on the pre-fix code:
   same operator silently corrupted each other's results.
 * A driver's per-``k`` operator cache binds on first use; first calls
   racing it must bind exactly one operator per ``k``.
-* The bounded lazy caches (``RowScatter`` flat indices, SSS partition
-  splits, CSX plan scatters) mutated plain dicts from worker threads;
-  eviction could yank a compiled array from under an in-flight kernel.
+* The bounded lazy caches (``RowScatter`` flat indices, then also SSS
+  partition splits and CSX plan scatters) mutated plain dicts from
+  worker threads; eviction could yank a compiled array from under an
+  in-flight kernel. SSS and CSX now run the native kernel, which keeps
+  no cache; its concurrent calls release the GIL.
 
 The drivers' own cross-backend bit-identity is covered by the
 conformance suite; these tests aim threads at the *same* object on
@@ -320,13 +322,11 @@ def test_row_scatter_cache_stress(fast_switching):
     assert len(scatter._flat) <= FLAT_CACHE_MAX
 
 
-def test_sss_partition_split_cache_stress(fast_switching, monkeypatch):
-    """Concurrent binds/applies with distinct partitionings against one
-    SSS matrix, with the split cache shrunk so eviction is constant:
-    results must stay bit-identical to serial."""
-    import repro.formats.sss as sss_mod
-
-    monkeypatch.setattr(sss_mod, "PART_SPLIT_CACHE_MAX", 2)
+def test_sss_partition_split_cache_stress(fast_switching):
+    """Concurrent applies with distinct partitionings against one SSS
+    matrix, with ``clear_caches`` running all the while: the native
+    partition kernels (GIL released) must stay bit-identical to their
+    serial results."""
     matrix, _ = build_symmetric("random", "sss", "single")
     n = matrix.n_rows
     layouts = []

@@ -1,9 +1,10 @@
-"""``scipy.sparse`` loads only with a CSX plan.
+"""No kernel path loads ``scipy``.
 
-Importing it costs 16-22 MiB of RSS, so ``import repro`` and every path
-that never builds a CSX plan (SSS / CSR drivers, the out-of-core
-operator) must leave it unloaded. Each check runs in a fresh
-interpreter, where ``sys.modules`` shows exactly what was imported.
+Importing ``scipy.sparse`` costs 16-22 MiB of RSS, so ``import repro``,
+the SSS / CSR / CSX / CSX-Sym drivers and the out-of-core operator must
+leave it unloaded (SSS and CSX run the native kernel). Each check runs
+in a fresh interpreter, where ``sys.modules`` shows exactly what was
+imported.
 """
 
 from __future__ import annotations
@@ -81,11 +82,19 @@ op(x)
     assert "scipy.sparse" not in loaded.split()
 
 
-def test_csx_sym_build_loads_scipy_sparse():
+def test_csx_sym_and_csx_apply_leave_scipy_unloaded():
     loaded = _run(_SETUP + """
-from repro.formats import CSXSymMatrix
+from repro.formats import CSXMatrix, CSXSymMatrix
+from repro.parallel import ParallelSpMV, ParallelSymmetricSpMV
 
-assert "scipy.sparse" not in sys.modules
-CSXSymMatrix(coo, partitions=parts)
+csxs = CSXSymMatrix(coo, partitions=parts)
+with ParallelSymmetricSpMV(csxs, parts, "indexed") as d:
+    d(x)
+    with d.bind(3) as op:
+        op(np.ones((coo.n_rows, 3)))
+with ParallelSpMV(CSXMatrix(coo, partitions=parts), parts) as d:
+    d(x)
+csxs.spmv(x)
+assert "scipy" not in sys.modules
 """)
-    assert "scipy.sparse" in loaded.split()
+    assert loaded.split() == []

@@ -92,12 +92,11 @@ def test_spmm_columns_bit_identical_to_spmv(sym_dense_medium, rng):
     Y = np.zeros((300, 5))
     plan.execute(X, Y)
     D, L = np.zeros((300, 5)), np.zeros((300, 5))
-    plan.execute_transposed_split(X, D, L, 150)
+    plan.execute(X, D, L, 150)
     for j in range(5):
         y, d, loc = np.zeros(300), np.zeros(300), np.zeros(300)
         plan.execute(np.ascontiguousarray(X[:, j]), y)
-        plan.execute_transposed_split(np.ascontiguousarray(X[:, j]),
-                                      d, loc, 150)
+        plan.execute(np.ascontiguousarray(X[:, j]), d, loc, 150)
         assert np.array_equal(Y[:, j], y)
         assert np.array_equal(D[:, j], d) and np.array_equal(L[:, j], loc)
 
@@ -121,18 +120,20 @@ def _window_plan():
 
 
 def test_transposed_split_routing(rng):
-    """Writes left of ``boundary`` go local, the rest direct, whether
-    the boundary is at or below the column window, inside it, or at or
-    past its end."""
+    """Transposed writes left of ``boundary`` go local, the rest direct,
+    whether the boundary is at or below the column window, inside it,
+    or at or past its end. ``x`` is zero on the column window, so the
+    row products (always direct) add only zeros."""
     dense, plan = _window_plan()
     assert (plan.col_lo, plan.col_lo + plan.n_window_cols) == (10, 30)
     n = dense.shape[0]
     x = rng.standard_normal(n)
+    x[10:30] = 0.0
     expected = dense.T @ x
     for boundary in (0, 10, 11, 20, 29, 30, 35, 40):
         direct = np.zeros(n)
         local = np.zeros(n)
-        plan.execute_transposed_split(x, direct, local, boundary)
+        plan.execute(x, direct, local, boundary)
         assert np.allclose(direct + local, expected)
         assert not local[boundary:].any()
         assert not direct[:boundary].any()
@@ -147,8 +148,8 @@ def test_transposed_split_zero_boundary(sym_dense_small, rng):
     plan = compile_plan(units, sym_dense_small.shape[0])
     x = rng.standard_normal(sym_dense_small.shape[1])
     direct = np.zeros(sym_dense_small.shape[0])
-    plan.execute_transposed_split(x, direct, np.zeros(0), boundary=0)
-    assert np.allclose(direct, sym_dense_small.T @ x)
+    plan.execute(x, direct, np.zeros(0), boundary=0)
+    assert np.allclose(direct, (sym_dense_small + sym_dense_small.T) @ x)
 
 
 def test_element_coordinates_cover_all(sym_dense_small):
@@ -168,7 +169,7 @@ def test_empty_plan():
     plan = compile_plan([], 5)
     y = np.zeros(5)
     plan.execute(np.ones(5), y)
-    plan.execute_transposed_split(np.ones(5), y, y, 2)
+    plan.execute(np.ones(5), y, y, 2)
     assert np.array_equal(y, np.zeros(5))
     rows, cols, vals = plan.triples()
     assert rows.size == 0 and cols.size == 0 and vals.size == 0

@@ -150,7 +150,7 @@ def test_done_reply_carries_one_metrics_snapshot():
         assert [tid for tid, *_ in results] == [0]
         assert sorted(snap) == ["counters", "gauges", "histograms"]
         names = {entry["name"] for entry in snap["counters"]}
-        assert "scatter.full_elems" in names
+        assert "kernel.elements" in names
         conn.send(("run", 8, [0], False))
         assert conn.recv()[3] is None
     finally:
