@@ -1,42 +1,32 @@
-"""Cross-backend scaling benchmark: serial vs threads vs processes.
+"""Scaling benchmark: the serial reference vs the ``threads`` backend.
 
-The paper's kernels are memory-bound C; this reproduction's kernels
-are NumPy and scipy calls glued together with Python control flow.
-The ``threads`` backend (the calling thread runs one partition task,
-persistent pool threads the rest) overlaps only what releases the
-GIL. scipy's compiled CSR/CSC products do, which is why CSX-Sym
-applies scale on two cores. The SSS SpM×M swept here mixes gathers
-that release it with a ``bincount`` scatter that holds it, so its
-``threads`` rows gain less. (On the smallest smoke matrix every
-two-worker row loses to serial: the split and its reduction cost more
-than they save.) The shared-memory ``processes`` backend lifts the GIL
-limit: workers attach the bound operator's arenas once at pool
-spin-up and per-call messages carry only task descriptors, so the
-per-application cost is the kernel alone — in separate interpreters
-that can actually run concurrently.
+The symmetric partition kernel is C (``repro.native``): one pass over
+the stored lower triangle per partition, called through ``ctypes``,
+which releases the GIL for the call. The ``threads`` backend (the
+calling thread runs one partition task, persistent pool threads the
+rest) therefore runs the partitions of one apply concurrently in one
+address space, as the paper's Pthreads do. What it cannot hide is the
+per-apply Python dispatch and the reduction phase: on the smallest
+smoke matrix a two-worker apply costs more than it saves.
 
 This benchmark sweeps worker counts over a bound SSS + indexed SpM×M
-operator (``k = 8`` — the multi-RHS shape where per-task work is
-large enough to amortize the round-trip) on every backend and reports:
+operator (``k = 8``, the multi-RHS shape where per-task work is large
+enough to amortize the dispatch) and reports:
 
 * measured per-application wall-clock (p50/p95) per worker count,
 * measured speedup and parallel efficiency over the serial backend,
 * the analytic machine model's predicted scaling curve for the same
   matrix/partitions (GAINESTOWN, caches shrunk by ``machine_scale``)
-  as the *modeled* reference — what a memory-bound C implementation of
-  the same algorithm would do.
+  as the *modeled* reference — what the paper's memory-bound platform
+  would do.
 
-Machine-readable output goes to ``results/BENCH_scaling.json``. The
-acceptance gate (processes >= 1.5x threads at the largest worker
-count) only applies where it can physically hold: hosts with fewer
-than ``GATE_MIN_CORES`` cores record the measurement honestly with
-``gate.status = "skipped-single-core"`` instead of a fake verdict.
+Machine-readable output goes to ``results/BENCH_scaling.json``, which
+``check_regression.py`` compares against the committed baseline.
 
 Runs standalone (``python benchmarks/bench_scaling.py``, ``--smoke``
 for the tiny CI configuration) or under pytest; the pytest entry
-asserts cross-backend bit-identity, the JSON artifact, and zero leaked
-shared-memory segments — never the speedup (CI runners make no core
-promises).
+asserts cross-backend agreement and the JSON artifact — never a
+speedup (CI runners make no core promises).
 """
 
 from __future__ import annotations
@@ -63,9 +53,7 @@ from repro.matrices.generators import (  # noqa: E402
 from repro.parallel import (  # noqa: E402
     Executor,
     ParallelSymmetricSpMV,
-    live_segments,
     partition_nnz_balanced,
-    shared_memory_available,
 )
 
 BLOCK_K = 8
@@ -75,9 +63,7 @@ REPEATS = 5
 #: few samples it is the slowest one, and one preempted apply sets it.
 SMOKE_REPEATS = 200
 WORKER_SWEEP = (1, 2, 4)
-GATE_MIN_CORES = 4          # the 1.5x gate needs real parallel hardware
-GATE_SPEEDUP = 1.5          # processes vs threads, largest worker count
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads")
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
@@ -100,10 +86,7 @@ def full_matrices() -> dict[str, COOMatrix]:
 
 def _bound(sss, parts, backend: str, workers: int):
     """(apply-callable, close-callable) for one backend x workers."""
-    if backend == "serial":
-        ex = Executor("serial")
-    else:
-        ex = Executor(backend, max_workers=workers)
+    ex = Executor(backend, max_workers=workers)
     op = ParallelSymmetricSpMV(sss, parts, "indexed", executor=ex).bind(
         BLOCK_K
     )
@@ -121,8 +104,6 @@ def _configs(workers_sweep):
         for backend in BACKENDS:
             if backend == "serial" and workers != workers_sweep[0]:
                 continue  # serial has no worker axis; measure once
-            if backend == "processes" and not shared_memory_available():
-                continue
             yield backend, workers
 
 
@@ -226,46 +207,9 @@ def attach_speedups(rows) -> None:
         r["efficiency"] = r["speedup"] / max(1, r["workers"])
 
 
-def evaluate_gate(rows, workers_sweep, host_cores: int) -> dict:
-    """The processes-vs-threads verdict, or an honest skip."""
-    if not shared_memory_available():
-        return {"status": "skipped-no-shared-memory"}
-    if host_cores < GATE_MIN_CORES:
-        return {
-            "status": "skipped-single-core",
-            "detail": (
-                f"host has {host_cores} core(s); the {GATE_SPEEDUP}x "
-                f"processes-vs-threads gate needs >= {GATE_MIN_CORES} "
-                "cores to be physically meaningful"
-            ),
-            "host_cores": host_cores,
-        }
-    top = max(workers_sweep)
-    ratios = []
-    by_key = {
-        (r["matrix"], r["backend"], r["workers"]): r for r in rows
-    }
-    for (matrix, backend, workers), r in by_key.items():
-        if backend != "processes" or workers != top:
-            continue
-        t = by_key.get((matrix, "threads", top))
-        if t is not None:
-            ratios.append(t["p50_ms"] / r["p50_ms"])
-    if not ratios:
-        return {"status": "skipped-no-data"}
-    geomean = float(np.exp(np.mean(np.log(ratios))))
-    return {
-        "status": "pass" if geomean >= GATE_SPEEDUP else "fail",
-        "processes_vs_threads": geomean,
-        "target": GATE_SPEEDUP,
-        "workers": top,
-        "host_cores": host_cores,
-    }
-
-
-def render(rows, model_rows, gate) -> str:
+def render(rows, model_rows) -> str:
     lines = [
-        f"Cross-backend scaling — bound SSS+indexed SpM×M (k={BLOCK_K}), "
+        f"Serial vs threads scaling — bound SSS+indexed SpM×M (k={BLOCK_K}), "
         "p50 per application",
         "",
         f"{'matrix':<14} {'backend':<10} {'workers':>7} {'p50 ms':>9} "
@@ -285,12 +229,10 @@ def render(rows, model_rows, gate) -> str:
             f"{1e3 * r['t_total_model']:>9.3f} {'':>9} "
             f"{r['speedup_model']:>8.2f}"
         )
-    lines.append("")
-    lines.append(f"gate: {json.dumps(gate)}")
     return "\n".join(lines)
 
 
-def write_json(rows, model_rows, gate, config) -> Path:
+def write_json(rows, model_rows, config) -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_scaling.json"
     path.write_text(json.dumps(
@@ -298,7 +240,6 @@ def write_json(rows, model_rows, gate, config) -> Path:
             "config": config,
             "measured": rows,
             "modeled": model_rows,
-            "gate": gate,
         },
         indent=2,
     ) + "\n")
@@ -328,56 +269,38 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
 
     matrices = smoke_matrices() if args.smoke else full_matrices()
-    host_cores = os.cpu_count() or 1
-    from repro.parallel import shm
-
     rows = measure(matrices, sweep, repeats)
     attach_speedups(rows)
     model_rows = modeled_curve(matrices, sweep)
-    gate = evaluate_gate(rows, sweep, host_cores)
     config = {
         "smoke": args.smoke,
         "block_k": BLOCK_K,
         "workers": list(sweep),
         "repeats": repeats,
-        "host_cores": host_cores,
-        "start_method": (
-            shm.start_method() if shared_memory_available() else None
-        ),
-        "shared_memory_available": shared_memory_available(),
+        "host_cores": os.cpu_count() or 1,
     }
-    write_json(rows, model_rows, gate, config)
-    text = render(rows, model_rows, gate)
+    write_json(rows, model_rows, config)
+    text = render(rows, model_rows)
     try:
         from common import write_result
 
         write_result("scaling", text)
     except ImportError:
         print(text)
-    if live_segments():
-        print(f"LEAKED SEGMENTS: {live_segments()}", file=sys.stderr)
-        return 1
-    return 0 if gate["status"] in (
-        "pass", "skipped-single-core", "skipped-no-shared-memory",
-    ) else 1
+    return 0
 
 
 # -- pytest entry point (collected with the other wall-clock benches) --
 def test_scaling_smoke(tmp_path, monkeypatch):
-    """Bit-identity + artifact + leak-freedom; never the 1.5x gate
-    (CI runners make no core promises)."""
+    """Cross-backend agreement + artifact; never a speedup (CI runners
+    make no core promises)."""
     monkeypatch.setattr(
         sys.modules[__name__], "RESULTS_DIR", tmp_path
     )
-    rc = main(["--smoke", "--workers", "1", "2", "--repeats", "1"])
+    assert main(["--smoke", "--workers", "1", "2", "--repeats", "1"]) == 0
     payload = json.loads((tmp_path / "BENCH_scaling.json").read_text())
-    # rc reflects the perf gate; only a leak or crash should fail here.
-    assert rc == 0 or payload["gate"]["status"] == "fail"
     assert payload["measured"] and payload["modeled"]
-    assert payload["gate"]["status"] in (
-        "pass", "fail", "skipped-single-core", "skipped-no-shared-memory",
-    )
-    assert live_segments() == []
+    assert {r["backend"] for r in payload["measured"]} == set(BACKENDS)
 
 
 if __name__ == "__main__":

@@ -109,12 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--executor", default="serial",
-            choices=("serial", "threads", "processes", "chaos"),
+            choices=("serial", "threads", "chaos"),
             help="task executor; 'threads' gives per-thread timelines "
-                 "in the trace, 'processes' runs GIL-free workers over "
-                 "shared-memory workspaces (engages through the bound "
-                 "operator), 'chaos' is 'threads' with a fault plan of "
-                 "delays + reordered completions (no exceptions) to "
+                 "in the trace, 'chaos' is 'threads' with a fault plan "
+                 "of delays + reordered completions (no exceptions) to "
                  "smoke-test determinism",
         )
 
@@ -186,10 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument(
         "--executor", default=None,
-        choices=("threads", "processes"),
+        choices=("threads",),
         help="run the parallel/bound combos on this executor backend "
-             "instead of the default serial one (the fuzz-smoke CI "
-             "rotates through them)",
+             "instead of the default serial one",
     )
     p_fuzz.add_argument(
         "--chaos", action="store_true",
@@ -233,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument(
         "--executor", default="serial",
-        choices=("serial", "threads", "processes"),
-        help="backend the applications run on; 'processes' exercises "
-             "the cross-process metric aggregation path",
+        choices=("serial", "threads"),
+        help="backend the applications run on",
     )
     p_metrics.add_argument(
         "--applications", type=int, default=20,
@@ -287,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--executor", default="threads",
-            choices=("serial", "threads", "processes", "chaos"),
+            choices=("serial", "threads", "chaos"),
             help="compute executor behind the served operators; "
                  "'chaos' is 'threads' injecting faults and delays (the "
                  "drill: requests must complete via serial fallback or fail "
@@ -481,8 +477,8 @@ def _trace_setup(args):
         # injected exceptions from the CLI.
         plan = ChaosPlan(seed=0, p_raise=0.0, p_delay=0.5, max_delay_ms=0.2)
         executor = Executor("threads", plan=plan)
-    elif args.executor in ("threads", "processes"):
-        executor = Executor(args.executor)
+    elif args.executor == "threads":
+        executor = Executor("threads")
     else:
         executor = None
     return tracer, executor
@@ -820,8 +816,8 @@ def _serve_setup(args):
             seed=args.seed, p_raise=0.3, p_delay=0.3, max_delay_ms=0.2
         )
         executor = Executor("threads", plan=plan)
-    elif args.executor in ("threads", "processes"):
-        executor = Executor(args.executor, max_workers=args.threads)
+    elif args.executor == "threads":
+        executor = Executor("threads", max_workers=args.threads)
     else:
         executor = None
     registry = OperatorRegistry()

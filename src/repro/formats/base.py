@@ -124,18 +124,6 @@ class RowScatter:
         self._flat: dict[int, np.ndarray] = {}
         self._flat_lock = threading.Lock()
 
-    def __getstate__(self):
-        # Locks are unpicklable; the process backend ships scatters to
-        # workers through the shared arena. Each process re-creates its
-        # own lock (the cache is per-process state anyway).
-        state = self.__dict__.copy()
-        del state["_flat_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._flat_lock = threading.Lock()
-
     def _flat_for(self, k: int) -> np.ndarray:
         """The flattened index for ``k``, compiling (and caching) it on
         a miss. Insertion/eviction run under the cache lock; the

@@ -154,11 +154,9 @@ class Combo:
         faults then surface as the typed containment exceptions, which
         the harness classifies (serial combos ignore the plan: there is
         no batch to disrupt). ``executor_mode`` instead picks a plain
-        backend ("threads"/"processes") for the parallel/bound drivers
-        — the cross-backend rotation of the fuzz-smoke CI job. Both
-        driver kinds apply through a bound operator, so both engage the
-        process backend; the harness closes the driver or operator it
-        built, and with it any worker pool and shared memory.
+        backend (``"threads"``) for the parallel/bound drivers; the
+        harness closes the driver or operator it built, and with it the
+        executor's thread pool.
         """
         executor = None
         if self.driver != "serial":
@@ -255,8 +253,8 @@ class FuzzConfig:
     #: oracle (faults absorbed by retry/re-ingest) or fail with a typed
     #: ooc error, never silently corrupt. 0 disables.
     ooc_every: int = 8
-    #: Executor backend for the parallel/bound combos ("threads" or
-    #: "processes"; None keeps the drivers' default serial executor).
+    #: Executor backend for the parallel/bound combos ("threads"; None
+    #: keeps the drivers' default serial executor).
     executor_mode: Optional[str] = None
 
 

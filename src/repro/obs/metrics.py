@@ -15,18 +15,15 @@ Three metric kinds cover that:
   ``10^(1/16) ≈ 1.155``, i.e. ≤ 15.5 % relative error), memory is a
   fixed few hundred integers regardless of sample count, and
   :meth:`LogHistogram.merge` is associative and commutative — so
-  per-thread shards, per-process deltas and per-run snapshots all
-  aggregate into one distribution without coordination.
+  per-thread shards and per-run snapshots all aggregate into one
+  distribution without coordination.
 
 :class:`MetricsRegistry` applies the tracer's per-thread-shard pattern
 to these metrics: every recording thread writes its own shard (reached
 through ``threading.local``; the registry lock is taken only when a
 thread's shard is first created), and :meth:`MetricsRegistry.snapshot`
 merges the shards on the cold path. Snapshots are plain JSON-able
-dicts, which is also the cross-process protocol: pool workers snapshot
-their local registry per batch and the parent merges the deltas with
-:meth:`MetricsRegistry.merge_snapshot` — a ``"processes"`` run reports
-the same metric names as a threaded one.
+dicts.
 
 On top sit the consumers: :class:`SLO` (target percentile + threshold
 + error-budget accounting over a sliding window of evaluations),
@@ -479,22 +476,6 @@ class MetricsRegistry:
 
     def metric_names(self) -> list[str]:
         return sorted({key[1] for key in self._merged()})
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one —
-        the parent-side half of the cross-process protocol (workers
-        send snapshot deltas back with each batch reply). Applied to
-        the calling thread's shard, so it is safe from any thread."""
-        for entry in snap.get("counters", ()):
-            self.counter(entry["name"], **entry["labels"]).inc(
-                entry["value"]
-            )
-        for entry in snap.get("gauges", ()):
-            self.gauge(entry["name"], **entry["labels"]).set(entry["value"])
-        for entry in snap.get("histograms", ()):
-            self.histogram(entry["name"], **entry["labels"]).merge(
-                LogHistogram.from_dict(entry["data"])
-            )
 
     def clear(self) -> None:
         with self._lock:

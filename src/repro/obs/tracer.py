@@ -167,9 +167,9 @@ class Tracer:
         self, name: str, dur_ns: int, *,
         start_ns: Optional[int] = None, **attrs,
     ) -> None:
-        """Record a span that was timed *elsewhere* — e.g. a task
-        executed in a worker process, whose duration came back over the
-        pool pipe with its ``pid``. Recorded on the calling thread's
+        """Record a span that was timed *elsewhere* — e.g. a served
+        request's latency from submission to response.
+        Recorded on the calling thread's
         buffer; when ``start_ns`` is omitted, the span is back-dated so
         it ends now."""
         if not self.enabled:

@@ -5,8 +5,6 @@ from ..resilience import (
     BatchExecutionError,
     ChaosPlan,
     OperatorClosedError,
-    RemoteTaskError,
-    WorkerCrashError,
 )
 from .bound import BoundOperator, BoundSpMV, BoundSymmetricSpMV
 from .coloring import (
@@ -35,7 +33,6 @@ from .reduction import (
     ReductionMethod,
     make_reduction,
 )
-from .shm import live_segments, shared_memory_available
 from .spmv import ParallelSpMV, ParallelSymmetricSpMV
 
 __all__ = [
@@ -43,10 +40,6 @@ __all__ = [
     "ChaosPlan",
     "BatchExecutionError",
     "OperatorClosedError",
-    "WorkerCrashError",
-    "RemoteTaskError",
-    "live_segments",
-    "shared_memory_available",
     "partition_nnz_balanced",
     "partition_rows_equal",
     "validate_partitions",

@@ -34,13 +34,7 @@ from ..resilience.errors import OperatorClosedError
 
 _F64 = np.dtype(np.float64)
 
-__all__ = [
-    "BoundOperator",
-    "BoundSymmetricSpMV",
-    "BoundSpMV",
-    "compile_symmetric_tasks",
-    "compile_unsymmetric_tasks",
-]
+__all__ = ["BoundOperator", "BoundSymmetricSpMV", "BoundSpMV"]
 
 
 def _record_traffic(
@@ -92,69 +86,6 @@ class _InputSlot:
 
     def get(self) -> Optional[np.ndarray]:
         return self.x
-
-
-def compile_symmetric_tasks(
-    matrix, reduction, partitions, k: Optional[int], y, locals_, get_x
-) -> list:
-    """Per-thread multiplication closures for the two-phase symmetric
-    driver. Shared by the parent's bound operator and the process-pool
-    workers (which call it against their own zero-copy views of the
-    same shared-memory workspaces), so both sides execute the one task
-    definition. ``get_x`` defers the input read to call time.
-
-    For a conflict-free (coloring) reduction this returns the schedule's
-    *steps* — a list of barrier-separated task lists — instead of a flat
-    list; the bound operator runs them step-at-a-time and the process
-    workers flatten them step-major so global task ids index the same
-    closures on both sides."""
-    if getattr(reduction, "conflict_free", False):
-        from .coloring import compile_colored_steps
-
-        return compile_colored_steps(reduction.schedule, y, get_x)
-    multi = k is not None
-    tasks = []
-    for tid, (start, end) in enumerate(partitions):
-        y_direct, y_local = reduction.thread_targets(tid, y, locals_)
-        kernel = matrix.spmm_partition if multi else matrix.spmv_partition
-
-        def task(kernel=kernel, y_direct=y_direct, y_local=y_local,
-                 start=start, end=end) -> None:
-            kernel(get_x(), y_direct, y_local, start, end)
-
-        tasks.append(task)
-    return tasks
-
-
-def compile_unsymmetric_tasks(
-    matrix, partitions, k: Optional[int], y, get_x
-) -> list:
-    """Per-thread closures for the row-partitioned unsymmetric driver:
-    CSX partitions execute by index, CSR by row range. Shared with the
-    process-pool workers like :func:`compile_symmetric_tasks`."""
-    multi = k is not None
-    tasks = []
-    if hasattr(matrix, "spmv_partition_only"):
-        for tid in range(len(partitions)):
-            kernel = (
-                matrix.spmm_partition_only
-                if multi
-                else matrix.spmv_partition_only
-            )
-
-            def task(kernel=kernel, tid=tid) -> None:
-                kernel(get_x(), y, tid)
-
-            tasks.append(task)
-    else:
-        for start, end in partitions:
-            kernel = matrix.spmm_rows if multi else matrix.spmv_rows
-
-            def task(kernel=kernel, start=start, end=end) -> None:
-                kernel(get_x(), y, start, end)
-
-            tasks.append(task)
-    return tasks
 
 
 class BoundOperator:
@@ -234,13 +165,8 @@ class BoundOperator:
         self._y = np.zeros(shape, dtype=np.float64)
         self._slot = _InputSlot()
         self._x_shape = (m.n_cols,) if k is None else (m.n_cols, k)
-        self._x_staged: Optional[np.ndarray] = None
-        self._remote = None
-        self._arenas: list = []
         with _active_tracer().span("bind", k=k, threads=self.n_threads):
             self._allocate_workspaces()
-            if self.executor.mode == "processes":
-                self._setup_process_backend()
             self._tasks = self._build_tasks()
         # Elements _zero_workspaces clears per call (constant once
         # bound) — reported through the "bound.zeroed_elements" counter.
@@ -260,77 +186,6 @@ class BoundOperator:
         slot (``self._slot.get``)."""
         raise NotImplementedError
 
-    def _setup_process_backend(self) -> None:
-        """Migrate the workspaces into shared memory and spin up the
-        long-lived worker pool (``processes`` executor only).
-
-        Two arenas per operator: a *data* arena holding the pickled
-        driver state with its array buffers carved out-of-band
-        (protocol 5 — workers reconstruct the matrix zero-copy), and a
-        *workspace* arena holding ``y``, the staged input slot and the
-        reduction's local buffers. The parent's ``self._y`` /
-        ``self._locals`` are re-pointed at arena views, so the existing
-        zero/reduce/recover machinery operates on the very memory the
-        workers write.
-        """
-        from . import shm as _shm
-        from .procpool import ProcessPool, WorkerSpec
-
-        executor = self.executor
-        reduction = self.reduction
-        payload, table, data = _shm.pack_to_arena(
-            (self.matrix, tuple(self.partitions), reduction)
-        )
-        self._arenas.append(data)
-
-        locals_ = getattr(self, "_locals", None)
-        shapes = [(self._y.shape, np.float64), (self._x_shape, np.float64)]
-        if locals_:
-            shapes.extend(
-                (buf.shape, np.float64) for buf in locals_ if buf is not None
-            )
-        ws = _shm.SharedArena(_shm.workspace_capacity(shapes))
-        self._arenas.append(ws)
-
-        new_y, y_off = ws.alloc(self._y.shape)
-        self._y = new_y
-        self._x_staged, x_off = ws.alloc(self._x_shape)
-        locals_refs: list = []
-        if locals_ is not None:
-            for i, buf in enumerate(locals_):
-                if buf is None:
-                    locals_refs.append(None)
-                else:
-                    arr, off = ws.alloc(buf.shape)
-                    locals_[i] = arr
-                    locals_refs.append((off, tuple(buf.shape)))
-
-        spec = WorkerSpec(
-            kind="sym" if reduction is not None else "unsym",
-            payload=payload,
-            table=table,
-            data_name=data.name,
-            ws_name=ws.name,
-            x_ref=(x_off, tuple(self._x_shape)),
-            y_ref=(y_off, tuple(self._y.shape)),
-            locals_refs=locals_refs,
-            k=self.k,
-            plan=executor.plan,
-        )
-        n_workers = self.n_threads
-        if executor.max_workers is not None:
-            n_workers = min(n_workers, executor.max_workers)
-        self._remote = ProcessPool(spec, n_workers)
-
-    def _stage_input(self, x: np.ndarray) -> np.ndarray:
-        """Copy the call's input into the shared staging slot (process
-        backend) so the workers see it; identity otherwise."""
-        if self._x_staged is not None:
-            if x is not self._x_staged:
-                np.copyto(self._x_staged, x)
-            return self._x_staged
-        return x
-
     def _zero_workspaces(self) -> None:
         self._y[...] = 0.0
 
@@ -338,7 +193,7 @@ class BoundOperator:
         """Execute the precompiled multiplication phase. Default: one
         batch over ``self._tasks``; the colored symmetric path overrides
         this with barrier-stepped execution."""
-        self.executor.run_batch(self._tasks, label, self._remote)
+        self.executor.run_batch(self._tasks, label)
 
     def _finish(self) -> None:
         """Post-multiplication phase (the symmetric reduction)."""
@@ -429,7 +284,7 @@ class BoundOperator:
         overhead benchmark times this directly as the zero-
         instrumentation control for the disabled-tracer overhead."""
         self._zero_workspaces()
-        self._slot.x = self._stage_input(x)
+        self._slot.x = x
         try:
             self._run_mult()
             self._finish()
@@ -470,7 +325,7 @@ class BoundOperator:
             with tracer.span("bound.zero"):
                 self._zero_workspaces()
             tracer.count("bound.zeroed_elements", self._zero_volume)
-            self._slot.x = self._stage_input(x)
+            self._slot.x = x
             try:
                 with tracer.span("spmv.mult"):
                     self._run_mult(label="spmv.mult.task")
@@ -521,15 +376,6 @@ class BoundOperator:
             self._closed = True
             self._tasks = []
             self._y = None
-            self._x_staged = None
-            # Pool before arenas: workers must have detached (or been
-            # terminated) before the owner unlinks the segments.
-            if self._remote is not None:
-                self._remote.close()
-                self._remote = None
-            for arena in self._arenas:
-                arena.close()
-            self._arenas = []
             self.matrix.clear_caches()
 
     def __enter__(self) -> "BoundOperator":
@@ -586,10 +432,30 @@ class BoundSymmetricSpMV(BoundOperator):
         return int(self.reduction.zeroed_elements(self.k))
 
     def _build_tasks(self) -> list:
-        return compile_symmetric_tasks(
-            self.matrix, self.reduction, self.partitions, self.k,
-            self._y, self._locals, self._slot.get,
-        )
+        """Per-thread multiplication closures of the two-phase driver;
+        for a conflict-free (coloring) reduction, the schedule's
+        barrier-separated *steps* (a list of task lists) instead."""
+        get_x = self._slot.get
+        if self._conflict_free:
+            from .coloring import compile_colored_steps
+
+            return compile_colored_steps(
+                self.reduction.schedule, self._y, get_x
+            )
+        m = self.matrix
+        kernel = m.spmv_partition if self.k is None else m.spmm_partition
+        tasks = []
+        for tid, (start, end) in enumerate(self.partitions):
+            y_direct, y_local = self.reduction.thread_targets(
+                tid, self._y, self._locals
+            )
+
+            def task(y_direct=y_direct, y_local=y_local,
+                     start=start, end=end) -> None:
+                kernel(get_x(), y_direct, y_local, start, end)
+
+            tasks.append(task)
+        return tasks
 
     def _run_mult(self, label: Optional[str] = None) -> None:
         if not self._conflict_free:
@@ -597,7 +463,7 @@ class BoundSymmetricSpMV(BoundOperator):
             return
         from .coloring import run_colored_steps
 
-        run_colored_steps(self.executor, self._tasks, label, self._remote)
+        run_colored_steps(self.executor, self._tasks, label)
 
     def _zero_workspaces(self) -> None:
         self._y[...] = 0.0
@@ -629,7 +495,25 @@ class BoundSpMV(BoundOperator):
     reduction phase, rows are thread-exclusive."""
 
     def _build_tasks(self) -> list:
-        return compile_unsymmetric_tasks(
-            self.matrix, self.partitions, self.k, self._y,
-            self._slot.get,
-        )
+        """Per-thread closures: CSX partitions execute by index, CSR by
+        row range."""
+        get_x, y, m = self._slot.get, self._y, self.matrix
+        multi = self.k is not None
+        tasks = []
+        if hasattr(m, "spmv_partition_only"):
+            kernel = m.spmm_partition_only if multi else m.spmv_partition_only
+            for tid in range(len(self.partitions)):
+
+                def task(tid=tid) -> None:
+                    kernel(get_x(), y, tid)
+
+                tasks.append(task)
+        else:
+            kernel = m.spmm_rows if multi else m.spmv_rows
+            for start, end in self.partitions:
+
+                def task(start=start, end=end) -> None:
+                    kernel(get_x(), y, start, end)
+
+                tasks.append(task)
+        return tasks

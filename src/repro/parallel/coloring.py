@@ -18,8 +18,7 @@ adjacency graph. This module provides
   two-level execution plan behind the ``"coloring"`` reduction strategy
   (color classes → nnz-balanced row batches, barrier between classes),
 - :func:`compile_colored_steps` / :func:`run_colored_steps` — task
-  compilation and barrier-stepped execution shared by the bound
-  operators and the process-pool workers,
+  compilation and barrier-stepped execution of the bound operators,
 - :func:`coloring_stats` and the :func:`predict_colored_time` roofline
   account.
 
@@ -392,16 +391,16 @@ def compile_colored_steps(
 
 
 def run_colored_steps(
-    executor, steps: list, label: Optional[str] = None, remote=None
+    executor, steps: list, label: Optional[str] = None
 ) -> None:
     """Execute compiled colored steps: one ``run_batch`` per step (the
-    inter-class barrier — both the thread pool and the process pool
-    return only after every task of the batch completed). A failed step
-    raises out of here; the bound operator that owns ``steps`` is then
-    poisoned and re-zeroes in full on its next call."""
+    inter-class barrier — ``run_batch`` returns only after every task
+    of the batch completed). A failed step raises out of here; the
+    bound operator that owns ``steps`` is then poisoned and re-zeroes
+    in full on its next call."""
     tid_base = 0
     for tasks in steps:
-        executor.run_batch(tasks, label, remote, tid_base)
+        executor.run_batch(tasks, label, tid_base)
         tid_base += len(tasks)
 
 

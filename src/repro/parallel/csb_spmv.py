@@ -35,11 +35,8 @@ class CSBRunStats:
 
 
 class ParallelCSBSymSpMV:
-    """[27]'s two-phase kernel bound to one (matrix, partitions) pair.
-
-    Its per-call task closures run on a ``serial`` or ``threads``
-    executor; a ``processes`` executor is rejected, since only a bound
-    operator's shared-memory tasks run in worker processes."""
+    """[27]'s two-phase kernel bound to one (matrix, partitions) pair;
+    its per-call task closures run on the given executor."""
 
     def __init__(
         self,
@@ -54,11 +51,6 @@ class ParallelCSBSymSpMV:
         validate_partitions(partitions, matrix.n_rows)
         self.partitions = [(int(s), int(e)) for s, e in partitions]
         self.executor = executor or Executor("serial")
-        if self.executor.mode == "processes":
-            raise ValueError(
-                "ParallelCSBSymSpMV runs on a 'serial' or 'threads' "
-                "executor, not 'processes'"
-            )
         self.last_stats: Optional[CSBRunStats] = None
 
     @property

@@ -1,7 +1,7 @@
-"""Task execution backends (caller-run thread batches and process pools).
+"""Task execution backends (caller-run thread batches).
 
 The library needs to run "one task per thread" twice per SpM×V (the
-multiplication phase and the reduction phase). Three backends exist:
+multiplication phase and the reduction phase). Two backends exist:
 
 * ``serial`` (default) — tasks run sequentially in deterministic order.
   Correctness and the traffic instrumentation are identical to a
@@ -14,28 +14,21 @@ multiplication phase and the reduction phase). Three backends exist:
   ``max_workers`` counts the caller: the pool holds ``max_workers - 1``
   threads, and ``max_workers=1`` (or a one-task batch) never leaves the
   caller. A two-task batch costs one queue put and one lock handoff,
-  about a third of a futures-based pool's submit-and-wait. scipy's
-  sparse products release the GIL, so the compiled CSR/CSC partition
-  kernels do overlap on two cores; wall-clock scaling on the host
-  still says nothing about the paper's platforms.
-* ``processes`` — GIL-free true parallelism over
-  ``multiprocessing.shared_memory`` workspaces. The backend runs only
-  through a bound operator (whose ``bind`` builds the segments and the
-  long-lived worker pool; see DESIGN.md §4g), which is how both
-  parallel drivers apply, plain ``driver(x)`` calls included. Closures
-  cannot cross a process boundary, so ``run_batch`` on a ``processes``
-  executor without a ``remote`` pool raises ``ValueError``.
+  about a third of a futures-based pool's submit-and-wait. The native
+  symmetric kernel and scipy's sparse products release the GIL, so the
+  partition kernels overlap on the host's cores; wall-clock scaling on
+  the host still says nothing about the paper's platforms.
 
-Either parallel backend takes a ``plan=``
+The ``threads`` backend takes a ``plan=``
 :class:`~repro.resilience.chaos.ChaosPlan` injecting deterministic
 per-task exceptions, delays and submission reorders, so every failure
 path of the containment machinery is reachable in tests and from
-``repro fuzz --chaos``; ``processes`` fires them inside the workers.
+``repro fuzz --chaos``.
 
-Failure containment (all parallel backends): ``run_batch`` runs the
-batch or raises. When any task raises, it first awaits every running
-sibling and cancels every unstarted one — so no task can keep mutating
-shared output buffers after the call returns — then raises one
+Failure containment: ``run_batch`` runs the batch or raises. When any
+task raises, it first awaits every running sibling and cancels every
+unstarted one — so no task can keep mutating shared output buffers
+after the call returns — then raises one
 :class:`~repro.resilience.errors.BatchExecutionError` aggregating every
 task's exception with its ``tid`` and the batch label. Recovery is the
 caller's: a bound operator re-zeroes its poisoned workspaces on its
@@ -55,14 +48,10 @@ from typing import Callable, Optional, Sequence
 from ..obs.tracer import active as _active_tracer, warn as _obs_warn
 from ..resilience.chaos import ChaosPlan
 from ..resilience.errors import BatchExecutionError, TaskFailure
-from .shm import shared_memory_available as _shm_available
 
 __all__ = ["Executor"]
 
-_MODES = ("serial", "threads", "processes")
-
-#: Modes that accept a ``plan=`` (fault injection / scheduling chaos).
-_PLAN_MODES = ("threads", "processes")
+_MODES = ("serial", "threads")
 
 
 class Executor:
@@ -70,22 +59,18 @@ class Executor:
 
     Parameters
     ----------
-    mode : {"serial", "threads", "processes"}
+    mode : {"serial", "threads"}
     max_workers : int, optional
-        Concurrency cap. On ``threads`` it counts the calling
-        thread, which runs one task of each batch itself, so the pool
-        keeps ``max_workers - 1`` threads; on ``processes`` it caps the
-        worker processes. Defaults to the task count of each batch (the
-        thread pool grows to the largest batch seen).
+        Concurrency cap on ``threads``. It counts the calling thread,
+        which runs one task of each batch itself, so the pool keeps
+        ``max_workers - 1`` threads. Defaults to the task count of each
+        batch (the thread pool grows to the largest batch seen).
     plan : ChaosPlan, optional
-        Fault plan for either parallel backend (default: none). On
-        ``threads`` each task is wrapped with its fault and the batch
-        reordered; on ``processes`` raise/delay faults fire inside the
-        workers and the dispatch order is perturbed in the parent.
-        Rejected for ``serial``.
+        Fault plan for ``threads`` (default: none): each task is
+        wrapped with its fault and the batch reordered. Rejected for
+        ``serial``.
 
-    Construction is fail-fast: an unknown mode, an unusable backend
-    (``processes`` without working shared memory) or a misplaced
+    Construction is fail-fast: an unknown mode or a misplaced
     ``plan=`` raises a typed ``ValueError`` here, not at the first
     ``run_batch``.
     """
@@ -103,16 +88,8 @@ class Executor:
             )
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if plan is not None and mode not in _PLAN_MODES:
-            raise ValueError(
-                f"plan= is only meaningful with mode in {_PLAN_MODES}"
-            )
-        if mode == "processes" and not _shm_available():
-            raise ValueError(
-                "executor mode 'processes' needs working "
-                "multiprocessing.shared_memory, which this platform "
-                "does not provide; use 'threads' or 'serial'"
-            )
+        if plan is not None and mode != "threads":
+            raise ValueError("plan= is only meaningful with mode 'threads'")
         self.mode = mode
         self.max_workers = max_workers
         self.plan = plan
@@ -129,7 +106,6 @@ class Executor:
         self,
         tasks: Sequence[Callable[[], None]],
         label: Optional[str] = None,
-        remote=None,
         tid_base: int = 0,
     ) -> Optional[int]:
         """Execute all tasks; returns when every task has finished.
@@ -149,15 +125,6 @@ class Executor:
         Per-task and whole-batch durations additionally stream into the
         tracer's ``task.latency_ns`` / ``batch.latency_ns`` histograms,
         labelled with the batch label and the executor mode.
-        The process backend records the equivalent spans from worker-
-        reported durations, attributed with the worker ``pid``.
-
-        ``remote`` is the ``processes`` dispatch handle — a
-        :class:`~repro.parallel.procpool.ProcessPool` a bound operator
-        passes in, whose workers execute the *shared-memory* mirror of
-        ``tasks`` by index. A ``processes`` executor requires it:
-        without one, ``run_batch`` raises ``ValueError`` before running
-        anything.
 
         On failure every running sibling is awaited and every unstarted
         one cancelled first, then a single :class:`BatchExecutionError`
@@ -165,11 +132,10 @@ class Executor:
         nothing from this batch is still writing. There is no retry.
 
         ``tid_base`` offsets the task ids this batch reports (trace
-        spans, chaos-plan derivation, remote dispatch). The colored
-        schedule issues one ``run_batch`` per barrier-separated step and
-        passes the cumulative task offset, so a process pool indexes the
-        workers' *flat* step-major task list and chaos faults stay
-        deterministic per global task, not per step-local position.
+        spans, chaos-plan derivation). The colored schedule issues one
+        ``run_batch`` per barrier-separated step and passes the
+        cumulative task offset, so chaos faults stay deterministic per
+        global task, not per step-local position.
         """
         if not tasks:
             return None
@@ -192,27 +158,15 @@ class Executor:
         order = range(len(tasks))
         if self.plan is not None:
             order = self.plan.submission_order(batch, len(tasks))
-            if self.mode == "threads":  # processes: wrapped worker-side
-                exec_tasks = [
-                    self.plan.wrap(batch, tid_base + i, task)
-                    for i, task in enumerate(tasks)
-                ]
+            exec_tasks = [
+                self.plan.wrap(batch, tid_base + i, task)
+                for i, task in enumerate(tasks)
+            ]
 
-        if self.mode == "processes":
-            if remote is None:
-                raise ValueError(
-                    "a 'processes' executor runs only a bound operator's "
-                    "shared-memory tasks (remote=); closures cannot cross "
-                    "a process boundary"
-                )
-            remote.run(
-                batch, len(tasks), [tid_base + i for i in order], label=name
-            )
-        else:
-            self._run_pooled(
-                self._instrumented(tracer, name, tid_base, exec_tasks),
-                order, name, batch,
-            )
+        self._run_pooled(
+            self._instrumented(tracer, name, tid_base, exec_tasks),
+            order, name, batch,
+        )
         if traced:
             self._record_batch(tracer, name, t0)
         return batch

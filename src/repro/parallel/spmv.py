@@ -15,8 +15,7 @@ the operator until ``driver.close()``; a plain ``driver(x)`` applies
 that cached operator and copies the result into a fresh (or the given)
 output. Every call therefore runs on the driver's
 :class:`~repro.parallel.executor.Executor` exactly as a bound call
-does — on the ``processes`` backend, in the worker processes over
-shared-memory workspaces.
+does.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ PR 4's differential fuzzer hardened the library against adversarial
   convention of :mod:`repro.formats.validate`; and
 * the **deterministic chaos plans** (:mod:`.chaos`): seed-derived
   per-``(batch, tid)`` exceptions, delays and submission reorders that
-  ``Executor("threads"|"processes", plan=...)`` injects, so every
+  ``Executor("threads", plan=...)`` injects, so every
   failure path is reachable from tests and from ``repro fuzz --chaos``.
 
 The containment machinery itself lives where the state lives —
@@ -32,9 +32,7 @@ from .errors import (
     ChaosInjectedError,
     ExecutionError,
     OperatorClosedError,
-    RemoteTaskError,
     TaskFailure,
-    WorkerCrashError,
 )
 
 __all__ = [
@@ -47,6 +45,4 @@ __all__ = [
     "BatchExecutionError",
     "OperatorClosedError",
     "ChaosInjectedError",
-    "WorkerCrashError",
-    "RemoteTaskError",
 ]

@@ -22,10 +22,6 @@ taxon.
                               ``close()``
 :class:`ChaosInjectedError`   the deterministic fault the chaos
                               executor injects
-:class:`WorkerCrashError`     a process-pool worker died (e.g. killed)
-                              while its batch was in flight
-:class:`RemoteTaskError`      a worker-side exception that could not be
-                              pickled back verbatim
 ============================  =========================================
 
 Exceptions that cross a process boundary must survive a pickle
@@ -45,8 +41,6 @@ __all__ = [
     "BatchExecutionError",
     "OperatorClosedError",
     "ChaosInjectedError",
-    "WorkerCrashError",
-    "RemoteTaskError",
 ]
 
 
@@ -138,43 +132,3 @@ class ChaosInjectedError(ExecutionError):
 
     def __reduce__(self):
         return (type(self), (self.batch, self.tid))
-
-
-class WorkerCrashError(ExecutionError):
-    """A process-pool worker died while its tasks were in flight (its
-    pipe hit EOF or broke mid-batch — e.g. the process was killed).
-    Raised per assigned ``tid`` inside the aggregating
-    :class:`BatchExecutionError`; the shared workspaces may hold the
-    dead worker's partial writes, so the owning bound operator is
-    poisoned exactly like any other batch failure."""
-
-    def __init__(self, tid: int, pid: Optional[int] = None):
-        self.tid = tid
-        self.pid = pid
-        where = f" (worker pid {pid})" if pid is not None else ""
-        super().__init__(
-            f"worker process died with task {tid} in flight{where}"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.tid, self.pid))
-
-
-class RemoteTaskError(ExecutionError):
-    """Stand-in for a worker-side exception that does not survive a
-    pickle round-trip; preserves the original type name, message and
-    formatted traceback text."""
-
-    def __init__(
-        self, original_type: str, message: str, traceback_text: str = ""
-    ):
-        self.original_type = original_type
-        self.message = message
-        self.traceback_text = traceback_text
-        super().__init__(f"{original_type}: {message}")
-
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.original_type, self.message, self.traceback_text),
-        )

@@ -292,19 +292,13 @@ def chaos_benign_executor(seed: int = 0):
 
 #: Plain executor backends the cross-backend conformance suite sweeps;
 #: every one must be *bit-identical* to serial on the whole battery.
-EXECUTOR_BACKENDS = ("serial", "threads", "processes")
+EXECUTOR_BACKENDS = ("serial", "threads")
 
 
 def make_backend_executor(backend: str, max_workers: int = 2):
-    """Executor for one conformance backend, or a pytest skip when the
-    platform cannot provide it (``processes`` without working shared
-    memory — e.g. a sandbox with /dev/shm sealed)."""
-    import pytest
+    """Executor for one conformance backend."""
+    from repro.parallel import Executor
 
-    from repro.parallel import Executor, shared_memory_available
-
-    if backend == "processes" and not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
     if backend == "serial":
         return Executor("serial")
     return Executor(backend, max_workers=max_workers)

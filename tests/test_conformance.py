@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.configs import build_format as build_configured
 from repro.matrices.suite import SUITE, get_entry
-from repro.parallel import ParallelSpMV, ParallelSymmetricSpMV, live_segments
+from repro.parallel import ParallelSpMV, ParallelSymmetricSpMV
 
 from tests.conformance import (
     CASES,
@@ -194,10 +194,8 @@ def test_driver_output_block_reuse(fmt):
 
 # ----------------------------------------------------------------------
 # Cross-backend sweep: the same bound operator on every executor
-# backend must be *bit-identical* to serial — same kernels, same shared
-# workspaces layout, same summation order. ``processes`` additionally
-# must leave zero shared-memory segments behind (skipped gracefully
-# where the platform has no working shared memory).
+# backend must be *bit-identical* to serial — same kernels, same
+# workspaces layout, same summation order.
 # ----------------------------------------------------------------------
 def _run_bound(driver, x):
     op = driver.bind(None if x.ndim == 1 else x.shape[1])
@@ -224,8 +222,6 @@ def test_symmetric_backend_bit_identical(case, fmt, method, backend):
     finally:
         ex.close()
     assert np.array_equal(got, serial)
-    if backend == "processes":
-        assert not live_segments()
 
 
 @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
@@ -241,8 +237,6 @@ def test_unsymmetric_backend_bit_identical(case, fmt, backend):
     finally:
         ex.close()
     assert np.array_equal(got, serial)
-    if backend == "processes":
-        assert not live_segments()
 
 
 @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
@@ -261,8 +255,6 @@ def test_symmetric_backend_spmm_bit_identical(fmt, method, backend):
     finally:
         ex.close()
     assert np.array_equal(got, serial)
-    if backend == "processes":
-        assert not live_segments()
 
 
 def test_csx_sym_spmm_columns_bit_identical_to_spmv():

@@ -351,32 +351,25 @@ def test_unclosed_pool_does_not_block_interpreter_exit():
 
 
 # ----------------------------------------------------------------------
-# Fail-fast construction of the processes backend
+# Fail-fast construction
 # ----------------------------------------------------------------------
 def test_unknown_mode_error_lists_backends():
     with pytest.raises(ValueError) as exc_info:
         Executor("fibers")
     msg = str(exc_info.value)
-    for mode in ("serial", "threads", "processes"):
+    for mode in ("serial", "threads"):
         assert mode in msg
 
 
-def test_processes_rejected_without_shared_memory(monkeypatch):
-    monkeypatch.setattr(
-        "repro.parallel.executor._shm_available", lambda: False
-    )
+def test_processes_mode_is_unknown():
+    """``processes`` is not a mode: ``threads`` runs the native kernel
+    without the GIL, so the error names the two modes there are."""
     with pytest.raises(ValueError) as exc_info:
         Executor("processes")
-    assert "shared_memory" in str(exc_info.value)
-
-
-def test_processes_accepts_chaos_plan():
-    from repro.resilience import ChaosPlan
-
-    plan = ChaosPlan(0, p_raise=0.0, p_delay=0.3, max_delay_ms=0.1)
-    ex = Executor("processes", max_workers=2, plan=plan)
-    assert ex.plan is plan
-    ex.close()
+    msg = str(exc_info.value)
+    assert "unknown executor mode 'processes'" in msg
+    for mode in ("serial", "threads"):
+        assert mode in msg
 
 
 def test_chaos_is_a_plan_not_a_mode():
@@ -386,13 +379,13 @@ def test_chaos_is_a_plan_not_a_mode():
         Executor("chaos")
     msg = str(exc_info.value)
     assert "'chaos'" in msg
-    for mode in ("serial", "threads", "processes"):
+    for mode in ("serial", "threads"):
         assert mode in msg
     with pytest.raises(ValueError):
         Executor("serial", plan=ChaosPlan(0))
 
 
-def test_chaos_mode_defaults_plan_processes_does_not():
+def test_no_mode_defaults_a_plan():
     """No mode defaults a fault plan: one is present only when passed."""
     from repro.resilience import ChaosPlan
 
@@ -401,6 +394,3 @@ def test_chaos_mode_defaults_plan_processes_does_not():
     plan = ChaosPlan(0)
     with Executor("threads", plan=plan) as threads:
         assert threads.plan is plan
-    procs = Executor("processes")
-    assert procs.plan is None
-    procs.close()

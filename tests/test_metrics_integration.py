@@ -1,14 +1,12 @@
 """Cross-backend identity of the streaming metrics and counters.
 
-The tentpole guarantee of the metrics subsystem: a ``processes`` run
-reports the *same* metric names and the *same* (bit-identical) kernel
-counter totals as a serial run. Counters are recorded deep inside the
-format kernels — under the process backend those execute in worker
-processes, whose registry snapshot comes back in each batch reply and
-is merged into the parent; losing that merge silently drops every
-worker-side ``tracer.count`` (the historical failure mode this file
-pins down). ``tracer.counters()`` is only a view of the registry's
-unlabeled counters, so both read the same numbers.
+The guarantee of the metrics subsystem: a ``threads`` run reports the
+*same* metric names and the *same* (bit-identical) kernel counter
+totals as a serial run. Counters are recorded deep inside the format
+kernels — under ``threads`` on the pool threads, each into its own
+registry shard, which the snapshot merges. ``tracer.counters()`` is
+only a view of the registry's unlabeled counters, so both read the
+same numbers.
 
 Also covered here: the per-layer recorders (executor batch/task
 latency, bound-operator apply/traffic, solver per-iteration metrics)
@@ -91,8 +89,7 @@ def test_metric_names_and_counters_identical_across_backends(
             continue
         assert tracer.metrics.metric_names() == serial_names, backend
         # Kernel counter totals are bit-identical: same work, same
-        # counts, whether recorded inline, from pool threads, or folded
-        # back from worker-process deltas.
+        # counts, whether recorded inline or from pool threads.
         assert tracer.counters() == serial_counters, backend
         # The modeled traffic stream is deterministic too.
         for entry, ref in zip(
@@ -101,17 +98,6 @@ def test_metric_names_and_counters_identical_across_backends(
             assert entry["name"] == ref["name"]
             if entry["name"] == "op.traffic_bytes":
                 assert entry["summary"]["sum"] == ref["summary"]["sum"]
-
-
-def test_worker_counter_deltas_fold_into_parent():
-    """Under the process backend the kernels run in worker processes;
-    their ``tracer.count`` calls must still land in the parent tracer
-    (satellite: the historical vanishing-counters bug)."""
-    serial_tracer, _ = _instrumented_run("banded", "sss", "indexed",
-                                         "serial")
-    proc_tracer, _ = _instrumented_run("banded", "sss", "indexed",
-                                       "processes")
-    assert proc_tracer.counters() == serial_tracer.counters()
 
 
 def test_histogram_labels_carry_backend_and_reduction():

@@ -13,9 +13,6 @@ Covers the resilience taxonomy end to end:
   returns output bit-identical to the serial execution.
 """
 
-import os
-import signal
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +23,6 @@ from repro.parallel import (
     Executor,
     ParallelSpMV,
     ParallelSymmetricSpMV,
-    live_segments,
-    shared_memory_available,
 )
 from repro.resilience import (
     BatchExecutionError,
@@ -36,7 +31,6 @@ from repro.resilience import (
     ExecutionError,
     FaultSpec,
     OperatorClosedError,
-    WorkerCrashError,
 )
 
 from tests.conformance import (
@@ -365,85 +359,7 @@ def test_chaos_containment_property_bound(seed):
         ex.close()
 
 
-# ----------------------------------------------------------------------
-# Process-backend resilience: worker death is a contained, typed,
-# recoverable failure; benign chaos over real processes stays
-# bit-identical to serial.
-# ----------------------------------------------------------------------
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
-)
-
-
-def _processes_bound(**executor_kwargs):
-    matrix, parts = build_symmetric("random", "sss", "thirds")
-    x = rhs_block(matrix.n_cols, None)
-    serial = np.array(ParallelSymmetricSpMV(matrix, parts, "indexed")(x))
-    ex = Executor("processes", max_workers=2, **executor_kwargs)
-    op = ParallelSymmetricSpMV(
-        matrix, parts, "indexed", executor=ex
-    ).bind()
-    return op, ex, x, serial
-
-
-@needs_shm
-@settings(deadline=None, max_examples=5)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_processes_benign_chaos_bit_identical(seed):
-    # Delay + reorder faults fire *inside the workers* / perturb the
-    # parent's dispatch order; the disjoint-write algorithm must stay
-    # bit-identical to serial through real process boundaries.
-    plan = ChaosPlan(
-        seed, p_raise=0.0, p_delay=0.5, max_delay_ms=0.2, reorder=True
-    )
-    op, ex, x, serial = _processes_bound(plan=plan)
-    try:
-        for _ in range(2):
-            assert np.array_equal(np.array(op(x)), serial)
-    finally:
-        op.close()
-        ex.close()
-    assert live_segments() == []
-
-
-@needs_shm
-def test_killed_worker_is_typed_and_respawned():
-    reset_warning_counts()
-    op, ex, x, serial = _processes_bound()
-    try:
-        assert np.array_equal(np.array(op(x)), serial)
-        os.kill(op._remote.worker_pids()[0], signal.SIGKILL)
-        # Pin the mid-batch-death path: under scheduler load the pool
-        # can observe the corpse and respawn before dispatch, which
-        # recovers without raising (also correct, but it is the typed
-        # crash we are testing). Restored below so the follow-up apply
-        # exercises the lazy respawn.
-        real_ensure = op._remote._ensure_workers
-        op._remote._ensure_workers = lambda: None
-        try:
-            with pytest.raises(BatchExecutionError) as exc_info:
-                op(x)
-        finally:
-            op._remote._ensure_workers = real_ensure
-        crashes = [
-            f for f in exc_info.value.failures
-            if isinstance(f.error, WorkerCrashError)
-        ]
-        assert crashes  # the dead worker's tasks, each typed
-        assert op.poisoned
-        # Next application: lazy respawn + auto-recovery, then correct.
-        assert np.array_equal(np.array(op(x)), serial)
-        assert warning_counts().get("resilience.worker_respawn", 0) >= 1
-    finally:
-        op.close()
-        ex.close()
-    assert live_segments() == []
-
-
-@pytest.mark.parametrize(
-    "backend", ["serial", "threads", pytest.param("processes", marks=needs_shm)]
-)
+@pytest.mark.parametrize("backend", ["serial", "threads"])
 def test_faulted_then_clean_apply_is_bit_identical(backend):
     """Task 1 faults after task 0 has written its partial sums; the
     next apply re-zeroes in full and equals the serial one bit for
@@ -477,4 +393,3 @@ def test_faulted_then_clean_apply_is_bit_identical(backend):
     finally:
         op.close()
         ex.close()
-    assert live_segments() == []
