@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=2)
         p.add_argument(
             "--reduction", default="indexed",
-            choices=("naive", "effective", "indexed", "coloring"),
+            choices=("naive", "effective", "indexed"),
         )
         p.add_argument(
             "--executor", default="serial",

@@ -50,6 +50,18 @@ class SSSMatrix(SymmetricFormat):
         values: np.ndarray,
     ):
         super().__init__(shape)
+        self.attach(dvalues, rowptr, colind, values)
+
+    def attach(
+        self,
+        dvalues: np.ndarray,
+        rowptr: np.ndarray,
+        colind: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Validate the four arrays against the matrix's shape and hold
+        them (the constructor runs this). A matrix whose arrays were
+        dropped by :meth:`detach` takes them back this way."""
         dvalues = np.ascontiguousarray(dvalues, dtype=np.float64)
         rowptr = np.ascontiguousarray(rowptr, dtype=np.int32)
         colind = np.ascontiguousarray(colind, dtype=np.int32)
@@ -81,6 +93,13 @@ class SSSMatrix(SymmetricFormat):
         self.rowptr = rowptr
         self.colind = colind
         self.values = values
+
+    def detach(self) -> None:
+        """Drop the arrays (and the column floor derived from them)
+        until the next :meth:`attach`; the matrix cannot multiply in
+        between."""
+        self.dvalues = self.rowptr = self.colind = self.values = None
+        self._col_floor = None
 
     # ------------------------------------------------------------------
     # Constructors

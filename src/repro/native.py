@@ -1,6 +1,7 @@
 """The native symmetric SpM×V kernels (``symkernel.c``) and their wrappers:
 :func:`partition_product` (SSS, CSX, CSX-Sym) and :func:`batch_product`
-(the coloring strategy's conflict-free row batches).
+(the coloring strategy's conflict-free row batches), and the CRC32C
+that verifies out-of-core shards and checkpoints (:func:`crc32c`).
 
 The source is compiled on first use with :data:`CFLAGS` into
 ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``) under a name hashing the
@@ -29,8 +30,8 @@ import numpy as np
 from .obs.tracer import active as _active_tracer
 
 __all__ = [
-    "NativeKernelError", "batch_product", "check_structure", "load",
-    "partition_product",
+    "NativeKernelError", "batch_product", "check_structure", "crc32c",
+    "load", "partition_product",
 ]
 
 COMPILER = "cc"
@@ -94,6 +95,8 @@ def load() -> ctypes.CDLL:
         lib.repro_batch.argtypes = [i64, i64, *[ptr] * 7]
         lib.repro_spmv.restype = lib.repro_spmm.restype = ctypes.c_int
         lib.repro_batch.restype = ctypes.c_int
+        lib.repro_crc32c.argtypes = [ctypes.c_uint32, ptr, i64]
+        lib.repro_crc32c.restype = ctypes.c_uint32
         _lib = _lib or lib
     return _lib
 
@@ -242,3 +245,17 @@ def batch_product(x, y, rows, ptr, cols, vals, diag, extent: int) -> None:
         _address(vals), _address(diag), _address(x), _address(y),
     ):
         raise MemoryError("the native kernel could not allocate its scratch")
+
+
+def crc32c(data, crc: int = 0) -> int:
+    """CRC32C (Castagnoli) of the contiguous bytes-like ``data``,
+    continuing from ``crc``: ``crc32c(b) == crc32c(b[k:],
+    crc32c(b[:k]))`` for any split, so large payloads can be streamed
+    chunk by chunk. The native loop runs without the GIL on ``data``'s
+    own buffer: nothing is copied and no reference to ``data`` is kept.
+    """
+    # A uint8 view's address; ctypes objects made from the buffer
+    # itself would keep it alive in a reference cycle until the next
+    # garbage collection.
+    buf = np.frombuffer(data, np.uint8)
+    return (_lib or load()).repro_crc32c(crc, buf.ctypes.data, buf.size)

@@ -33,9 +33,15 @@ and ``ooc.shard_hits`` split cold and warm shard accesses,
 ``ooc.resident_bytes`` / ``ooc.resident_bytes_peak`` gauges expose the
 payload residency the smoke test asserts against the budget.
 
-Each resident shard's driver belongs to the operator: eviction and
-:meth:`ShardedOperator.close` close it, releasing the bound operator
-the driver applies through.
+A shard's driver is built at its first load and kept until
+:meth:`ShardedOperator.close`: its column window, partitions,
+reduction index and bound operators (with their workspaces) survive
+evictions. Eviction detaches only the payload arrays from the window
+matrix, and a reload attaches the verified arrays again through the
+matrix's own validation, so a reload is read, CRC32C, parse and
+validate. The budget caps payload bytes; the kept state is O(window)
+per shard and per bound ``k``, reported as :attr:`ShardedOperator.kept_bytes`
+and the ``ooc.kept_bytes`` gauge.
 """
 
 from __future__ import annotations
@@ -78,11 +84,35 @@ def parse_memory_budget(text: Union[str, int, None]) -> Optional[int]:
     return value * scale
 
 
-class _Resident:
-    """One cached shard: its driver over the column window
-    ``[start, end)`` and its budget-accounted bytes."""
+def _window(data: ShardData, c0: int) -> tuple[np.ndarray, ...]:
+    """The shard's SSS arrays over its column window ``[c0, row_end)``:
+    rows ``[c0, row_start)`` are empty, columns are window-local."""
+    w, lead = data.row_end - c0, data.row_start - c0
+    dvalues = np.zeros(w, dtype=np.float64)
+    dvalues[lead:] = data.dvalues
+    rowptr = np.zeros(w + 1, dtype=np.int32)
+    rowptr[lead:] = data.rowptr
+    return dvalues, rowptr, data.colind - c0, data.values
 
-    __slots__ = ("driver", "start", "end", "n_bytes")
+
+def _array_bytes(obj) -> int:
+    """Bytes of the arrays ``obj`` holds as attributes or in list
+    attributes."""
+    total = 0
+    for value in vars(obj).values():
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, np.ndarray):
+                total += item.nbytes
+    return total
+
+
+class _Shard:
+    """One shard's driver over its column window ``[start, end)``, kept
+    from its first load until :meth:`ShardedOperator.close`, its
+    budget-accounted payload bytes and the bytes it keeps while
+    evicted."""
+
+    __slots__ = ("driver", "start", "end", "n_bytes", "kept_bytes")
 
     def __init__(
         self, driver: ParallelSymmetricSpMV, start: int, end: int,
@@ -92,6 +122,18 @@ class _Resident:
         self.start = start
         self.end = end
         self.n_bytes = n_bytes
+        self.kept_bytes = 0
+
+    def operator(self, k: Optional[int]):
+        """The driver's bound operator for ``k``. Until its first apply
+        completes, the kept bytes are counted again: the reduction's
+        index and every bound operator's workspaces."""
+        op = self.driver.operator(k)
+        if not op.n_calls:
+            self.kept_bytes = _array_bytes(self.driver.reduction) + sum(
+                _array_bytes(bound) for bound in self.driver._ops.values()
+            )
+        return op
 
 
 class ShardedOperator:
@@ -112,7 +154,10 @@ class ShardedOperator:
     n_threads : int
         Partitions per shard for the parallel driver.
     reduction : str
-        Reduction method for the per-shard symmetric driver.
+        Reduction method for the per-shard symmetric driver:
+        ``"naive"``, ``"effective"`` or ``"indexed"``. ``"coloring"``
+        is rejected: its schedule copies the shard's values, which a
+        kept driver would pin outside the budget.
     executor : Executor, optional
         Shared by every per-shard driver (serial default).
     """
@@ -136,6 +181,13 @@ class ShardedOperator:
         self.n_threads = int(n_threads)
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+        if reduction == "coloring":
+            raise ValueError(
+                "reduction 'coloring' cannot run out of core: its "
+                "schedule copies the shard's values, so a shard driver "
+                "kept across evictions would pin payload outside the "
+                "memory budget"
+            )
         self.reduction = reduction
         self.executor = executor or Executor("serial")
         largest = max(
@@ -147,7 +199,10 @@ class ShardedOperator:
                 f"largest shard ({largest} B); re-ingest with smaller "
                 f"shards or raise the budget"
             )
-        self._resident: dict[int, _Resident] = {}
+        #: Every shard loaded so far; ``_resident`` holds the ones whose
+        #: payload is attached.
+        self._kept: dict[int, _Shard] = {}
+        self._resident: dict[int, _Shard] = {}
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
 
@@ -160,22 +215,16 @@ class ShardedOperator:
     def n_rows(self) -> int:
         return self.store.n_rows
 
-    def _build_resident(self, data: ShardData) -> _Resident:
-        """Wrap one shard in an SSS matrix over its column window
-        ``[c0, row_end)``. The partitions cover the window: a leading
-        partition ``[c0, row_start)`` without entries (when the shard
-        reaches left of its rows), then the shard's rows split
-        nnz-balanced across ``n_threads``."""
+    def _build(self, data: ShardData) -> _Shard:
+        """The shard's driver over its column window ``[c0, row_end)``,
+        ``c0`` the smallest column it touches. The partitions cover the
+        window: a leading partition ``[c0, row_start)`` without entries
+        (when the shard reaches left of its rows), then the shard's rows
+        split nnz-balanced across ``n_threads``."""
         s, e = data.row_start, data.row_end
         c0 = min(s, int(data.colind.min())) if data.colind.size else s
         w, lead = e - c0, s - c0
-        dvalues = np.zeros(w, dtype=np.float64)
-        dvalues[lead:] = data.dvalues
-        rowptr = np.zeros(w + 1, dtype=np.int64)
-        rowptr[lead:] = data.rowptr
-        matrix = SSSMatrix(
-            (w, w), dvalues, rowptr, data.colind - c0, data.values
-        )
+        matrix = SSSMatrix((w, w), *_window(data, c0))
         weights = np.diff(data.rowptr) + 1
         cuts = partition_nnz_balanced(weights, self.n_threads)
         partitions = [(0, lead)] if lead else []
@@ -183,12 +232,13 @@ class ShardedOperator:
         driver = ParallelSymmetricSpMV(
             matrix, partitions, self.reduction, executor=self.executor
         )
-        return _Resident(driver, c0, e, data.n_bytes)
+        return _Shard(driver, c0, e, data.n_bytes)
 
     def _evict_until(self, incoming: int, index: int) -> None:
-        """Make room for shard ``index``: drop the resident shards
-        whose next use in the ascending sweep is furthest away — the
-        ones just behind the sweep — until ``incoming`` bytes fit."""
+        """Make room for shard ``index``: detach the payload of the
+        resident shards whose next use in the ascending sweep is
+        furthest away — the ones just behind the sweep — until
+        ``incoming`` bytes fit. Their drivers stay kept."""
         if self.memory_budget is None:
             return
         tracer = _active_tracer()
@@ -199,12 +249,12 @@ class ShardedOperator:
         ):
             victim = max(self._resident, key=lambda j: (j - index) % n)
             entry = self._resident.pop(victim)
-            entry.driver.close()
+            entry.driver.matrix.detach()
             self.resident_bytes -= entry.n_bytes
             if tracer.enabled:
                 tracer.count("ooc.shard_evictions")
 
-    def _shard(self, index: int) -> _Resident:
+    def _shard(self, index: int) -> _Shard:
         tracer = _active_tracer()
         entry = self._resident.get(index)
         if entry is not None:
@@ -213,7 +263,15 @@ class ShardedOperator:
             return entry
         info = self.store.shards[index]
         self._evict_until(info.n_bytes, index)
-        entry = self._build_resident(self.store.load(index))
+        data = self.store.load(index)
+        entry = self._kept.get(index)
+        if entry is None:
+            entry = self._kept[index] = self._build(data)
+        else:
+            # The bytes are CRC-verified against the manifest, so the
+            # window, partitions and reduction index built at the first
+            # load still describe them.
+            entry.driver.matrix.attach(*_window(data, entry.start))
         self._resident[index] = entry
         self.resident_bytes += entry.n_bytes
         self.peak_resident_bytes = max(
@@ -228,6 +286,13 @@ class ShardedOperator:
                 self.peak_resident_bytes
             )
         return entry
+
+    @property
+    def kept_bytes(self) -> int:
+        """Bytes kept across evictions, outside the memory budget: per
+        loaded shard, its reduction index and its bound operators'
+        workspaces, O(window) per shard and per bound ``k``."""
+        return sum(entry.kept_bytes for entry in self._kept.values())
 
     # -- application ----------------------------------------------------
     def __call__(
@@ -261,9 +326,10 @@ class ShardedOperator:
                 # Fixed ascending accumulation order: bit-identical
                 # across cache states and repeat applies. The bound
                 # operator's workspace is added straight into ``total``.
-                total[window] += entry.driver.operator(k)(x[window])
+                total[window] += entry.operator(k)(x[window])
         if tracer.enabled:
             tracer.count("ooc.applies")
+            tracer.metrics.gauge("ooc.kept_bytes").set(self.kept_bytes)
         return total
 
     def diagonal(self) -> np.ndarray:
@@ -272,9 +338,9 @@ class ShardedOperator:
         return self.store.diagonal()
 
     def close(self) -> None:
-        """Drop every resident shard and close its driver."""
-        resident, self._resident = self._resident, {}
-        for entry in resident.values():
+        """Drop every shard and close its kept driver."""
+        kept, self._kept, self._resident = self._kept, {}, {}
+        for entry in kept.values():
             entry.driver.close()
         self.resident_bytes = 0
 

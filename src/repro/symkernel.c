@@ -141,3 +141,46 @@ int repro_batch(int64_t k, int64_t n, const int64_t *rows,
     free(s);
     return 0;
 }
+
+/*
+ * CRC32C (Castagnoli, reflected polynomial 0x82F63B78) of buf[0, n),
+ * continuing from crc: crc32c(b) == crc32c(b[k:], crc32c(b[:k])).
+ * Slicing-by-8 over byte loads, so the result does not depend on the
+ * host's byte order or alignment; table[j][v] is byte v followed by j
+ * zero bytes. The tables are filled once, when the library loads.
+ */
+static uint32_t crc_table[8][256];
+
+static void __attribute__((constructor)) crc_init(void)
+{
+    uint32_t v, r;
+    int b, j;
+
+    for (v = 0; v < 256; v++) {
+        r = v;
+        for (b = 0; b < 8; b++)
+            r = (r >> 1) ^ (0x82F63B78u & (0u - (r & 1u)));
+        crc_table[0][v] = r;
+    }
+    for (v = 0; v < 256; v++)
+        for (j = 1; j < 8; j++)
+            crc_table[j][v] = (crc_table[j - 1][v] >> 8)
+                ^ crc_table[0][crc_table[j - 1][v] & 0xFF];
+}
+
+uint32_t repro_crc32c(uint32_t crc, const unsigned char *buf, int64_t n)
+{
+    uint32_t r = ~crc;
+
+    for (; n >= 8; n -= 8, buf += 8) {
+        r ^= (uint32_t)buf[0] | (uint32_t)buf[1] << 8
+            | (uint32_t)buf[2] << 16 | (uint32_t)buf[3] << 24;
+        r = crc_table[7][r & 0xFF] ^ crc_table[6][(r >> 8) & 0xFF]
+            ^ crc_table[5][(r >> 16) & 0xFF] ^ crc_table[4][r >> 24]
+            ^ crc_table[3][buf[4]] ^ crc_table[2][buf[5]]
+            ^ crc_table[1][buf[6]] ^ crc_table[0][buf[7]];
+    }
+    for (; n > 0; n--, buf++)
+        r = (r >> 8) ^ crc_table[0][(r ^ *buf) & 0xFF];
+    return ~r;
+}

@@ -17,6 +17,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 import weakref
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import native
 from repro.cli import main
 from repro.formats import COOMatrix, SSSMatrix
 from repro.matrices.mmio import iter_coordinates, read_matrix_market
@@ -44,7 +46,6 @@ from repro.ooc import (
     ingest_matrix_market,
     parse_memory_budget,
 )
-from repro.ooc import checksum
 from repro.ooc.checkpoint import CheckpointStore as _CheckpointStore
 from repro.ooc.errors import ShardChecksumError
 from repro.parallel import (
@@ -52,7 +53,7 @@ from repro.parallel import (
     ParallelSymmetricSpMV,
     partition_rows_equal,
 )
-from repro.resilience import ChaosPlan
+from repro.resilience import ChaosPlan, ExecutionError, FaultSpec
 from repro.serve.registry import matrix_fingerprint
 from repro.solvers.cg import (
     CGState,
@@ -130,30 +131,46 @@ class TestCRC32C:
         return out
 
     def test_matches_bitwise_reference(self):
-        lane, block = checksum._LANE, checksum._BLOCK
         rng = np.random.default_rng(13)
         data = rng.integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
-        near = set(range(3 * lane + 1))
-        for edge in (block, 2 * block):
-            near.update(range(edge - lane - 1, edge + lane + 2))
-        sizes = set(int(n) for n in rng.integers(0, 1 << 20, 4))
-        sizes.add(1 << 20)
-        for n, want in self._walk(data, near | sizes).items():
+        view = memoryview(data)
+        # The native loop takes 8 bytes a step, then single bytes:
+        # lengths 0-24 from every start offset 0-7 cross both, on
+        # aligned and unaligned addresses.
+        short = range(25)
+        for off in range(8):
+            for n, want in self._walk(data[off:], short).items():
+                assert crc32c(view[off: off + n]) == want, (off, n)
+        near = {(1 << 16) + d for d in range(-9, 10)}
+        for n, want in self._walk(data, {*short, *near, 1 << 20}).items():
             assert crc32c(data[:n]) == want, n
         start = 0x1234ABCD
-        for n, want in self._walk(data, near, start).items():
-            assert crc32c(data[:n], start) == want, n
+        for n, want in self._walk(data, {*short, *near}, start).items():
+            assert crc32c(view[:n], start) == want, n
 
     def test_buffer_types_agree(self):
         rng = np.random.default_rng(14)
-        values = rng.standard_normal(3 * checksum._LANE + 7)
+        values = rng.standard_normal(391)
         raw = values.tobytes()
         want = crc32c(raw)
-        for buf in (bytearray(raw), memoryview(raw), values,
+        for buf in (raw, bytearray(raw), memoryview(raw), values,
                     memoryview(values), np.frombuffer(raw, np.uint8),
                     values.reshape(-1, 1)):
             assert crc32c(buf) == want
             assert crc32c(buf, 7) == crc32c(raw, 7)
+
+    def test_keeps_no_reference(self):
+        """The buffer dies with its last reference: a checksummed
+        checkpoint or shard is not pinned until the next collection."""
+        values = np.arange(4096.0)
+        ref = weakref.ref(values)
+        gc.disable()
+        try:
+            crc32c(values)
+            del values
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -418,10 +435,11 @@ class TestShardedOperator:
         assert tracer.counters()["ooc.shards_loaded"] / 10 <= 5.5
         assert op.peak_resident_bytes <= op.memory_budget
 
-    def test_evicted_shard_operators_are_freed(self, grid_store):
-        """Eviction closes the dropped shard's driver: even while the
-        driver object lives on, its bound operator is released and dies
-        by reference counting, with no GC warning."""
+    def test_eviction_frees_payload_and_keeps_driver(self, grid_store):
+        """Eviction frees the shard's payload arrays by reference
+        counting; the shard's driver and bound operator stay open until
+        ``close()``, which closes every kept driver, with no GC
+        warning."""
         total = grid_store.total_payload_bytes()
         largest = max(i.n_bytes for i in grid_store.shards)
         x = np.random.default_rng(4).standard_normal(grid_store.n_cols)
@@ -431,33 +449,121 @@ class TestShardedOperator:
         op = ShardedOperator(
             grid_store, memory_budget=max(largest, total // 2), n_threads=2
         )
-        seen = []  # (driver, weakref to its operator), drivers kept alive
+        loads = []  # (shard index, weakrefs to its ShardData arrays)
+        load = grid_store.load
+
+        def spy(index):
+            data = load(index)
+            arrays = (data.dvalues, data.rowptr, data.colind, data.values)
+            loads.append((index, [weakref.ref(a) for a in arrays]))
+            return data
+
+        grid_store.load = spy
         reset_warning_counts()
-        gc.disable()  # reference counting alone must free them
+        gc.disable()  # reference counting alone must free the payload
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for _ in range(10):
                     assert np.array_equal(op(x), want)
-                    seen += [
-                        (entry.driver, weakref.ref(entry.driver.operator()))
-                        for entry in op._resident.values()
-                    ]
-                resident = [entry.driver for entry in op._resident.values()]
+                last = {index: n for n, (index, _) in enumerate(loads)}
                 evicted = [
-                    (d, r) for d, r in seen
-                    if not any(d is live for live in resident)
+                    refs for n, (index, refs) in enumerate(loads)
+                    if n != last[index] or index not in op._resident
                 ]
                 assert evicted
-                for driver, ref in evicted:
-                    assert not driver._ops and ref() is None
-                del resident, evicted
+                for refs in evicted:
+                    assert all(ref() is None for ref in refs)
+                drivers = [entry.driver for entry in op._kept.values()]
+                assert len(drivers) == grid_store.n_shards
+                assert set(op._kept) - set(op._resident)
+                ops = [bound for d in drivers for bound in d._ops.values()]
+                assert len(ops) == len(drivers)
+                assert not any(bound.closed for bound in ops)
                 op.close()
-                assert all(ref() is None for _, ref in seen)
+                assert all(bound.closed for bound in ops)
+                assert not any(d._ops for d in drivers)
+                del drivers, ops
         finally:
             gc.enable()
+            del grid_store.load
         assert not caught
         assert "bound_operator.unclosed_gc" not in warning_counts()
+
+    def test_resources_stay_bounded(self, grid_store):
+        """Over 200 half-budget applies the kept state and the thread
+        count stay flat after the first sweep, the native address cache
+        stays within what the first 20 applies reached (it holds the
+        resident shards' arrays, whose number varies along the sweep),
+        and the payload stays under the budget."""
+        total = grid_store.total_payload_bytes()
+        largest = max(i.n_bytes for i in grid_store.shards)
+        budget = max(largest, total // 2)
+        x = np.random.default_rng(5).standard_normal(grid_store.n_cols)
+        ex = Executor("threads", max_workers=2)
+        op = ShardedOperator(
+            grid_store, memory_budget=budget, n_threads=2, executor=ex
+        )
+        try:
+            op(x)
+            gc.collect()
+            kept, n_threads = op.kept_bytes, threading.active_count()
+            assert kept > 0
+            addresses = 0
+            for _ in range(20):
+                op(x)
+                addresses = max(addresses, len(native._addresses))
+            for _ in range(200):
+                op(x)
+                assert op.kept_bytes == kept
+                assert threading.active_count() == n_threads
+                assert len(native._addresses) <= addresses
+            tracer = Tracer()
+            with tracing(tracer):
+                op(x)
+            assert tracer.metrics.gauge_value("ooc.kept_bytes") == kept
+        finally:
+            op.close()
+            ex.close()
+        assert op.peak_resident_bytes <= budget
+
+    def test_coloring_rejected(self, store64):
+        with pytest.raises(ValueError, match="coloring.*pin payload"):
+            ShardedOperator(store64, reduction="coloring")
+
+    def test_failed_apply_recovers_kept_operator(self, grid_store):
+        """A batch fault poisons one shard's kept bound operator; the
+        apply raises, and the next apply, through the same operator
+        after its shard was evicted and reloaded, is bit-identical to a
+        clean operator's."""
+        total = grid_store.total_payload_bytes()
+        largest = max(i.n_bytes for i in grid_store.shards)
+        x = np.random.default_rng(6).standard_normal(grid_store.n_cols)
+        clean = ShardedOperator(grid_store, n_threads=2)
+        want = clean(x).copy()
+        clean.close()
+        b = 3  # one batch per shard apply: shard 3 of the first sweep
+        plan = ChaosPlan(
+            0, p_raise=0.0, p_delay=0.0, reorder=False,
+            faults={(b, 1): FaultSpec("raise")},
+        )
+        ex = Executor("threads", max_workers=2, plan=plan)
+        op = ShardedOperator(
+            grid_store, memory_budget=max(largest, total // 2),
+            n_threads=2, executor=ex,
+        )
+        try:
+            with pytest.raises(ExecutionError):
+                op(x)
+            poisoned = op._kept[b].driver.operator()
+            assert poisoned.poisoned
+            assert np.array_equal(op(x), want)
+            assert op._kept[b].driver.operator() is poisoned
+            assert not poisoned.poisoned
+            assert np.array_equal(op(x), want)
+        finally:
+            op.close()
+            ex.close()
 
     def test_resident_drivers_hold_window_arrays(self, grid_store):
         op = ShardedOperator(grid_store, n_threads=2)
@@ -822,6 +928,15 @@ class TestCLI:
                      "--memory-budget", "1"]) == 2
         assert main(["ooc", "spmv", str(tmp_path / "nowhere")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["spmv", "cg"])
+    def test_coloring_not_offered(self, tmp_path, mm64, command, capsys):
+        out = tmp_path / "sh"
+        main(["ooc", "ingest", str(mm64), str(out), "--n-shards", "2"])
+        with pytest.raises(SystemExit) as exc:
+            main(["ooc", command, str(out), "--reduction", "coloring"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'coloring'" in capsys.readouterr().err
 
     def test_io_fault_storm_exits_1(self, tmp_path, mm64, capsys):
         out = tmp_path / "sh"
